@@ -12,7 +12,8 @@ import sys
 import time
 
 from .complexes import cohomology
-from .fpmod import IdealSpec
+from .fieldlinalg import is_prime
+from .fpmod import IdealSpec, cokernel, kernel
 from .koszul import (copointed_idempotence_check, koszul_complex,
                      weak_proregularity_check)
 from .reports import (SCHEMA_VERSION, module_summary, render_json, render_tsv,
@@ -22,7 +23,6 @@ from .session import SessionError, parse_session
 from .torsion import (StabilizationBudgetError, completion_tower,
                       derived_completion_tower, ext_torsion_tower, gamma,
                       koszul_torsion_tower, mgm_check, profinite_tower)
-from .towers import IndSystem, ProSystem
 from .zmodclass import (injective_torsion_acyclicity_test,
                         weak_stability_check)
 
@@ -64,10 +64,25 @@ def _prime_of(session, args) -> int:
     if len(ideal.generators) != 1:
         raise CliInputError("this command needs a single-generator ideal (p)")
     p = abs(int(ideal.generators[0]))
-    from .zmodclass import _is_prime
-    if not _is_prime(p):
+    if not is_prime(p):
         raise CliInputError(f"ideal generator {p} is not prime")
     return p
+
+
+# least --depth of each command that reads it; the window commands also
+# read --window, which must satisfy 1 <= window < depth
+_LEAST_DEPTH = {"koszul": 1, "lc-tower": 1, "completion-tower": 1, "stability": 1,
+                "wpr": 2, "idempotence": 2, "mgm-check": 2}
+_WINDOW_COMMANDS = ("wpr", "idempotence", "mgm-check")
+
+
+def _check_options(args) -> None:
+    """Refuse option values the command cannot work with, before any work."""
+    least = _LEAST_DEPTH.get(args.command)
+    if least is not None and args.depth < least:
+        raise CliInputError(f"{args.command} needs --depth >= {least}")
+    if args.command in _WINDOW_COMMANDS and not 1 <= args.window < args.depth:
+        raise CliInputError(f"{args.command} needs 1 <= --window < --depth")
 
 
 def _system_levels(system) -> list:
@@ -76,7 +91,6 @@ def _system_levels(system) -> list:
 
 def _transition_flags(system) -> list:
     """Per transition: is it injective / surjective (kernel/cokernel zero)?"""
-    from .fpmod import kernel, cokernel
     out = []
     for tr in system.transitions:
         k, _ = kernel(tr)
@@ -321,7 +335,7 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
-    started = time.time()
+    started = time.perf_counter()
     report = {
         "schema": SCHEMA_VERSION,
         "command": args.command,
@@ -334,6 +348,7 @@ def run(argv) -> int:
         },
     }
     try:
+        _check_options(args)
         session = parse_session(args.session)
         report["ring"] = repr(session.ring)
         details, code = _COMMANDS[args.command](session, args)
@@ -348,7 +363,7 @@ def run(argv) -> int:
         report["exit_status"] = EXIT_BUDGET
         code = EXIT_BUDGET
     if args.timing:
-        report["timing_seconds"] = round(time.time() - started, 3)
+        report["timing_seconds"] = round(time.perf_counter() - started, 3)
     text = render_json(report) if args.format == "json" else render_tsv(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -19,10 +19,12 @@ computable.
 
 from __future__ import annotations
 
-from .fpmod import (FpModule, ModuleError, ModuleMorphism, direct_sum,
-                    cokernel_with_section, free_module, identity_morphism,
-                    kernel, zero_module, zero_morphism)
-from .intlinalg import Mat, mat_from_cols
+from fractions import Fraction
+
+from .fpmod import (FpModule, ModuleMorphism, cokernel_with_section, direct_sum,
+                    factor_through, free_module, identity_morphism, kernel,
+                    tensor_module, zero_module, zero_morphism)
+from .intlinalg import Mat
 from .rings import ring_matmul, ring_zero_mat
 
 
@@ -151,18 +153,9 @@ def cohomology_data(c: BoundedComplex, q: int):
         h, proj, section = cokernel_with_section(zero_morphism(zero_module(ring), k))
     else:
         # lift image columns of d^{q-1} through the kernel inclusion
-        oracle = ring.span_oracle(
-            [list(incl.matrix.col(j)) for j in range(incl.matrix.ncols)] +
-            [list(cq.relations.col(j)) for j in range(cq.relations.ncols)],
-            cq.ngens)
-        lift_cols = []
-        for j in range(prev.matrix.ncols):
-            sol = oracle.solve(list(prev.matrix.col(j)))
-            if sol is None:
-                raise ComplexError("image does not lie in kernel; d o d != 0?")
-            lift_cols.append(sol[: k.ngens])
         lift = ModuleMorphism(prev.source, k,
-                              mat_from_cols([tuple(col) for col in lift_cols], k.ngens),
+                              factor_through(incl.matrix, cq, prev.matrix,
+                                             "image does not lie in kernel; d o d != 0?"),
                               check=False)
         h, proj, section = cokernel_with_section(lift)
     reps = ring_matmul(ring, incl.matrix, section) if k.ngens else \
@@ -179,26 +172,16 @@ def cohomology(c: BoundedComplex, q: int) -> FpModule:
 def induced_cohomology_map(phi: ComplexMorphism, q: int,
                            check: bool = True) -> ModuleMorphism:
     """The map ``H^q(phi)`` on minimized cohomology presentations."""
-    ring = phi.source.ring
     hs, reps_s = cohomology_data(phi.source, q)
     ht, reps_t = cohomology_data(phi.target, q)
     if hs.ngens == 0 or ht.ngens == 0:
         return zero_morphism(hs, ht)
-    tq = phi.target.module(q)
-    prev_t = phi.target.diff(q - 1)
-    cols = [list(reps_t.col(j)) for j in range(reps_t.ncols)] + \
-        [list(prev_t.matrix.col(j)) for j in range(prev_t.matrix.ncols)] + \
-        [list(tq.relations.col(j)) for j in range(tq.relations.ncols)]
-    oracle = ring.span_oracle(cols, tq.ngens)
-    pushed = ring_matmul(ring, phi.map_at(q).matrix, reps_s)
-    out_cols = []
-    for j in range(pushed.ncols):
-        sol = oracle.solve(list(pushed.col(j)))
-        if sol is None:
-            raise ComplexError("pushed cycle not expressible; morphism invalid?")
-        out_cols.append(sol[: ht.ngens])
-    return ModuleMorphism(hs, ht, mat_from_cols([tuple(c_) for c_ in out_cols], ht.ngens),
-                          check=check)
+    prev_t = phi.target.diff(q - 1).matrix
+    pushed = ring_matmul(phi.source.ring, phi.map_at(q).matrix, reps_s)
+    matrix = factor_through(reps_t, phi.target.module(q), pushed,
+                            "pushed cycle not expressible; morphism invalid?",
+                            extra_cols=[prev_t.col(j) for j in range(prev_t.ncols)])
+    return ModuleMorphism(hs, ht, matrix, check=check)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +264,6 @@ def tensor_complexes(c: BoundedComplex, d: BoundedComplex) -> BoundedComplex:
     if c.ring != d.ring:
         raise ComplexError("mixed rings in tensor")
     ring = c.ring
-    from .fpmod import tensor_module
     lo, hi = c.lo + d.lo, c.hi + d.hi
     mods = []
     layout = {}
@@ -382,6 +364,34 @@ def tensor_complex_morphisms(f: ComplexMorphism, g: ComplexMorphism,
                                  Mat(tgt_n, src_n, tuple(tuple(r) for r in rows)),
                                  check=False)
     return ComplexMorphism(src, tgt, maps, check=False)
+
+
+def block_identity_map(plain: BoundedComplex, tensored: BoundedComplex,
+                       plain_factor: int, onto: bool) -> ComplexMorphism:
+    """The identity between ``plain`` and one block of a tensor product.
+
+    ``tensored`` is ``plain (x) R`` (``plain_factor`` 0) or ``R (x) plain``
+    (``plain_factor`` 1) for a complex ``R`` of rank one in degree 0; in
+    degree ``q`` the map is the identity between ``plain^q`` and the block
+    ``(q, 0)`` resp. ``(0, q)``, zero on the other blocks.  With ``onto``
+    it runs ``plain -> tensored``, else ``tensored -> plain``.  That it is a
+    chain map is checked.
+    """
+    ring = plain.ring
+    one, zero = ring.one(), ring.zero()
+    maps = {}
+    for q in range(min(plain.lo, tensored.lo), max(plain.hi, tensored.hi) + 1):
+        p, t = plain.module(q), tensored.module(q)
+        key = (q, 0) if plain_factor == 0 else (0, q)
+        offset = next((off for k, off, _ in tensored.layout.get(q, []) if k == key), None)
+        emb = Mat(t.ngens, p.ngens, tuple(
+            tuple(one if offset is not None and r == offset + c else zero
+                  for c in range(p.ngens)) for r in range(t.ngens)))
+        maps[q] = ModuleMorphism(p, t, emb, check=False) if onto else \
+            ModuleMorphism(t, p, emb.transpose(), check=False)
+    if onto:
+        return ComplexMorphism(plain, tensored, maps, check=True)
+    return ComplexMorphism(tensored, plain, maps, check=True)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +526,6 @@ def hom_of_source_map(t: ComplexMorphism, d: BoundedComplex,
 
 def euler_orders(c: BoundedComplex):
     """``(prod |C^q|^(+-1), prod |H^q|^(+-1))`` as Fractions; Z backend."""
-    from fractions import Fraction
     chain = Fraction(1)
     hom_ = Fraction(1)
     for q in c.degrees():

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .intlinalg import Mat, mat_from_cols
+from .intlinalg import Mat
 
 
-def _is_prime(p: int) -> bool:
+def is_prime(p: int) -> bool:
     if p < 2:
         return False
     d = 2
@@ -77,7 +77,7 @@ class PrimeField:
     """The field F_p for a prime p; elements are ints reduced mod p."""
 
     def __init__(self, p: int):
-        if not _is_prime(p):
+        if not is_prime(p):
             raise ValueError(f"modulus must be prime, got {p}")
         self.p = p
         self.tag = f"F{p}"
@@ -156,35 +156,3 @@ def rref(field, m: Mat):
 
 def rank(field, m: Mat) -> int:
     return len(rref(field, m)[1])
-
-
-def kernel(field, m: Mat) -> Mat:
-    """Basis of the right kernel as matrix columns (one per free column)."""
-    r, pivots = rref(field, m)
-    free = [j for j in range(m.ncols) if j not in pivots]
-    cols = []
-    for f in free:
-        v = [field.zero()] * m.ncols
-        v[f] = field.one()
-        for prow, pcol in enumerate(pivots):
-            v[pcol] = field.neg(r.entry(prow, f))
-        cols.append(tuple(v))
-    return mat_from_cols(cols, m.ncols)
-
-
-def solve(field, m: Mat, b: Mat):
-    """Solve ``M X = B``; return one solution ``X`` or ``None``."""
-    if b.nrows != m.nrows:
-        raise ValueError("shape mismatch in solve")
-    aug = Mat.from_rows([tuple(m.rows[i]) + tuple(b.rows[i]) for i in range(m.nrows)]) \
-        if m.nrows else Mat(0, m.ncols + b.ncols, ())
-    r, pivots = rref(field, aug)
-    if any(p >= m.ncols for p in pivots):
-        return None
-    xcols = []
-    for jb in range(b.ncols):
-        v = [field.zero()] * m.ncols
-        for prow, pcol in enumerate(pivots):
-            v[pcol] = r.entry(prow, m.ncols + jb)
-        xcols.append(tuple(v))
-    return mat_from_cols(xcols, m.ncols)

@@ -14,11 +14,10 @@ oracle takes care of that, so all formulas below are backend-agnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .intlinalg import Mat, mat_from_cols
-from .rings import (RingError, ring_identity, ring_mat_eq, ring_mat_from_rows,
-                    ring_matmul, ring_zero_mat)
+from .rings import ring_identity, ring_matmul, ring_zero_mat
 
 
 class ModuleError(ValueError):
@@ -60,20 +59,25 @@ def power_sequence(a: IdealSpec, i: int) -> IdealSpec:
 
 
 def ideal_power(a: IdealSpec, i: int) -> IdealSpec:
-    """All degree-``i`` products of the generators (deduplicated, sorted)."""
+    """All degree-``i`` products of the generators (deduplicated, sorted).
+
+    Each multiset of generators is multiplied out once: a product of degree
+    ``i - 1`` is extended only by generators at or after its last index.
+    Products are in normal form, so equal ones hash alike; of equal
+    products the first is kept.  In the full ``n^i`` enumeration the first
+    occurrence of a value is its sorted index tuple, so the result is the
+    same as deduplicating that enumeration.
+    """
     if i < 1:
         raise ModuleError("power must be >= 1")
     ring = a.ring
-    prods = [ring.one()]
+    gens = a.generators
+    prods = [(ring.one(), 0)]
     for _ in range(i):
-        prods = [ring.mul(p, g) for p in prods for g in a.generators]
-    out = []
-    for p in prods:
-        if ring.is_zero(p):
-            continue
-        if not any(ring.eq(p, q) for q in out):
-            out.append(p)
-    return IdealSpec(ring, tuple(ring.generator_sort(out)))
+        prods = [(ring.mul(p, gens[k]), k) for p, last in prods
+                 for k in range(last, len(gens))]
+    out = dict.fromkeys(p for p, _ in prods if not ring.is_zero(p))
+    return IdealSpec(ring, tuple(ring.generator_sort(list(out))))
 
 
 # ---------------------------------------------------------------------------
@@ -123,10 +127,6 @@ class FpModule:
             if not oracle.member(e):
                 return False
         return True
-
-    def element_is_zero(self, col) -> bool:
-        """Does the generator combination ``col`` vanish in the module?"""
-        return self.relation_oracle().member([self.ring.coerce(x) for x in col])
 
     def __repr__(self):
         label = self.name or "FpModule"
@@ -231,13 +231,6 @@ class ModuleMorphism:
     def equals(self, other: "ModuleMorphism") -> bool:
         return self.sub(other).is_zero_morphism()
 
-    def scale(self, scalar) -> "ModuleMorphism":
-        ring = self.source.ring
-        s = ring.coerce(scalar)
-        rows = tuple(tuple(ring.mul(s, x) for x in r) for r in self.matrix.rows)
-        return ModuleMorphism(self.source, self.target,
-                              Mat(self.matrix.nrows, self.matrix.ncols, rows), check=False)
-
     def __repr__(self):
         return f"Morphism({self.source!r} -> {self.target!r})"
 
@@ -328,6 +321,16 @@ def minimized(m: FpModule):
 # kernel / image / cokernel
 
 
+def _relations_among(ring, cols, target: FpModule):
+    """The nonzero ``c`` with ``sum_j c_j cols_j`` in the span of
+    ``target.relations``: the syzygies of ``cols`` and the relations, cut
+    to their ``cols`` part."""
+    rel = target.relations
+    allc = [list(c) for c in cols] + [list(rel.col(j)) for j in range(rel.ncols)]
+    heads = [v[:len(cols)] for v in ring.kernel_of_columns(allc, target.ngens)]
+    return [h for h in heads if any(not ring.is_zero(x) for x in h)]
+
+
 def _preimage_columns(phi: ModuleMorphism):
     """Generators of ``{m in A^{g_src} : phi(m) in im(target relations)}``."""
     ring = phi.source.ring
@@ -335,15 +338,7 @@ def _preimage_columns(phi: ModuleMorphism):
     if phi.target.ngens == 0:
         return [[ring.one() if t == k else ring.zero() for t in range(g_src)]
                 for k in range(g_src)]
-    cols = [list(phi.matrix.col(j)) for j in range(phi.matrix.ncols)]
-    rel_t = phi.target.relations
-    allc = cols + [list(rel_t.col(j)) for j in range(rel_t.ncols)]
-    out = []
-    for v in ring.kernel_of_columns(allc, phi.target.ngens):
-        head = v[:g_src]
-        if any(not ring.is_zero(x) for x in head):
-            out.append(head)
-    return out
+    return _relations_among(ring, [phi.matrix.col(j) for j in range(g_src)], phi.target)
 
 
 def kernel(phi: ModuleMorphism):
@@ -351,16 +346,7 @@ def kernel(phi: ModuleMorphism):
     ring = phi.source.ring
     gens = _preimage_columns(phi)
     lmat = mat_from_cols([tuple(c) for c in gens], phi.source.ngens)
-    rel_s = phi.source.relations
-    allc = [list(lmat.col(j)) for j in range(lmat.ncols)] + \
-        [list(rel_s.col(j)) for j in range(rel_s.ncols)]
-    rels = []
-    if lmat.ncols:
-        syz = ring.kernel_of_columns(allc, phi.source.ngens)
-        for v in syz:
-            head = v[:lmat.ncols]
-            if any(not ring.is_zero(x) for x in head):
-                rels.append(head)
+    rels = _relations_among(ring, gens, phi.source) if gens else []
     raw = FpModule(ring, lmat.ncols, rels)
     small, _, from_small = minimized(raw)
     incl_matrix = ring_matmul(ring, lmat, from_small.matrix) if lmat.ncols else \
@@ -399,24 +385,27 @@ def image(phi: ModuleMorphism):
     return small, incl
 
 
-def submodule(parent: FpModule, generator_columns):
-    """Submodule spanned by the given generator columns; ``(S, incl)``."""
-    ring = parent.ring
-    cols = [[ring.coerce(x) for x in c] for c in generator_columns]
-    lmat = mat_from_cols([tuple(c) for c in cols], parent.ngens)
-    rel = parent.relations
-    allc = cols + [list(rel.col(j)) for j in range(rel.ncols)]
-    rels = []
-    if cols:
-        for v in ring.kernel_of_columns(allc, parent.ngens):
-            head = v[:len(cols)]
-            if any(not ring.is_zero(x) for x in head):
-                rels.append(head)
-    raw = FpModule(ring, len(cols), rels)
-    small, _, from_small = minimized(raw)
-    incl_matrix = ring_matmul(ring, lmat, from_small.matrix) if cols else \
-        ring_zero_mat(ring, parent.ngens, 0)
-    return small, ModuleMorphism(small, parent, incl_matrix, check=False)
+def factor_through(gens: Mat, target: FpModule, want: Mat, message: str,
+                   extra_cols=()) -> Mat:
+    """Coordinates on ``gens`` of every column of ``want``, modulo the rest.
+
+    Each column of ``want`` is solved in the span of the columns of
+    ``gens``, then ``extra_cols``, then ``target.relations``, in that order;
+    the result keeps the ``gens`` part of each solution, one column per
+    column of ``want``.  Raises ``ModuleError(message)`` when a column is
+    not in the span.
+    """
+    rel = target.relations
+    oracle = target.ring.span_oracle(
+        [list(gens.col(j)) for j in range(gens.ncols)] + [list(c) for c in extra_cols] +
+        [list(rel.col(j)) for j in range(rel.ncols)], target.ngens)
+    cols = []
+    for j in range(want.ncols):
+        sol = oracle.solve(list(want.col(j)))
+        if sol is None:
+            raise ModuleError(message)
+        cols.append(tuple(sol[: gens.ncols]))
+    return mat_from_cols(cols, gens.ncols)
 
 
 def submodules_equal(parent: FpModule, cols_a, cols_b) -> bool:
@@ -496,23 +485,6 @@ def tensor_module(m: FpModule, n: FpModule, name=None) -> FpModule:
     return FpModule(ring, g, cols, name=name, free_rank=free_rank)
 
 
-def tensor_morphism(phi: ModuleMorphism, psi: ModuleMorphism,
-                    source: FpModule, target: FpModule) -> ModuleMorphism:
-    """Kronecker product ``phi (x) psi`` between prebuilt tensor modules."""
-    ring = phi.source.ring
-    gm, gn = phi.source.ngens, psi.source.ngens
-    tm, tn = phi.target.ngens, psi.target.ngens
-    rows = []
-    for a2 in range(tm):
-        for b2 in range(tn):
-            row = []
-            for a in range(gm):
-                for b in range(gn):
-                    row.append(ring.mul(phi.matrix.entry(a2, a), psi.matrix.entry(b2, b)))
-            rows.append(tuple(row))
-    return ModuleMorphism(source, target, Mat(tm * tn, gm * gn, tuple(rows)), check=False)
-
-
 def hom_module(m: FpModule, n: FpModule):
     """``(H, morphisms)``: the module ``Hom(m, n)`` and, for each of its
     generators, the corresponding concrete morphism ``m -> n``."""
@@ -568,18 +540,7 @@ def quotient_by_sequence(a: IdealSpec, i: int = 1, name=None) -> FpModule:
 
 def annihilator_submodule(m: FpModule, a: IdealSpec, i: int = 1):
     """``{x in m : a^i x = 0}`` with its inclusion; uses ideal powers."""
-    gens = ideal_power(a, i).generators
-    if not gens:
-        return m, identity_morphism(m)
-    target, _, _ = direct_sum([m] * len(gens))
-    ring = m.ring
-    rows = []
-    for g in gens:
-        for r in range(m.ngens):
-            row = [g if c == r else ring.zero() for c in range(m.ngens)]
-            rows.append(tuple(row))
-    phi = ModuleMorphism(m, target, Mat(target.ngens, m.ngens, tuple(rows)), check=False)
-    return kernel(phi)
+    return annihilated_by_elements(m, ideal_power(a, i).generators)
 
 
 def annihilated_by_elements(m: FpModule, elements):

@@ -384,15 +384,6 @@ def reduced_module_groebner(ring: PolyRing, vectors, order: ModuleOrder):
     return kept
 
 
-def module_normal_form(ring: PolyRing, order: ModuleOrder, v: dict, basis) -> dict:
-    leads = [vec_lead(order, b) for b in basis]
-    return _Reducer(ring, order, basis, leads).reduce(v)
-
-
-def module_member(ring: PolyRing, order: ModuleOrder, v: dict, basis) -> bool:
-    return vec_is_zero(module_normal_form(ring, order, v, basis))
-
-
 # ---------------------------------------------------------------------------
 # syzygies and solving by the graph method
 

@@ -14,20 +14,16 @@ verdict is ``pass`` / ``undetermined`` as in ``towers``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .complexes import (BoundedComplex, ComplexMorphism, cohomology,
-                        hom_complex, identity_complex_morphism,
-                        induced_cohomology_map, module_complex, ring_complex,
-                        tensor_complexes, tensor_complex_morphisms)
-from .fpmod import (FpModule, IdealSpec, ModuleMorphism, free_module,
-                    identity_morphism, multiplication_morphism,
-                    power_sequence)
-from .intlinalg import Mat
-from .rings import ring_matmul
-from .towers import (IndSystem, ProSystem, SystemMap, TowerEquivalenceVerdict,
-                     VanishingVerdict, is_pro_zero, tower_equivalence,
-                     vanishing_check)
+from .complexes import (BoundedComplex, ComplexMorphism, block_identity_map,
+                        cohomology, hom_complex, hom_of_source_map,
+                        identity_complex_morphism, induced_cohomology_map,
+                        ring_complex, tensor_complexes, tensor_complex_morphisms)
+from .fpmod import (IdealSpec, free_module, identity_morphism,
+                    multiplication_morphism, power_sequence)
+from .towers import (IndSystem, ProSystem, SystemMap, is_pro_zero,
+                     tower_equivalence)
 
 
 def _two_term(ring, elt) -> BoundedComplex:
@@ -92,13 +88,7 @@ def dual_koszul_transition(a: IdealSpec, i: int, j: int,
     down = koszul_transition(a, j, i)
     src = source if source is not None else dual_koszul(a, i)
     tgt = target if target is not None else dual_koszul(a, j)
-    out = hom_of_source_map_cached(down, a.ring, src, tgt)
-    return out
-
-
-def hom_of_source_map_cached(down: ComplexMorphism, ring, src, tgt):
-    from .complexes import hom_of_source_map, ring_complex as _rc
-    return hom_of_source_map(down, _rc(ring), src, tgt)
+    return hom_of_source_map(down, ring_complex(a.ring), src, tgt)
 
 
 def koszul_cohomology_prosystem(a: IdealSpec, p: int, depth: int) -> ProSystem:
@@ -215,28 +205,7 @@ def _counit_map(dual: BoundedComplex, square: BoundedComplex, ring,
     """``rho (x) id`` (side="left") or ``id (x) rho`` (side="right") from
     ``dual (x) dual`` onto ``dual``, where ``rho`` is the degree-0 projection
     onto the ring."""
-    maps = {}
-    for q in square.degrees():
-        src = square.module(q)
-        tgt = dual.module(q)
-        rows = [[ring.zero()] * src.ngens for _ in range(tgt.ngens)]
-        for (i, jj), off, width in square.layout.get(q, []):
-            if width == 0:
-                continue
-            if side == "left" and i == 0:
-                # block A (x) dual^q -> dual^q ; A has one generator
-                for b in range(width):
-                    rows[b][off + b] = ring.one()
-            if side == "right" and jj == 0:
-                # dual^q (x) A -> dual^q
-                g2 = 1
-                for aidx in range(width):
-                    rows[aidx][off + aidx * g2] = ring.one()
-        maps[q] = ModuleMorphism(src, tgt,
-                                 Mat(tgt.ngens, src.ngens,
-                                     tuple(tuple(r) for r in rows)),
-                                 check=False)
-    return ComplexMorphism(square, dual, maps, check=True)
+    return block_identity_map(dual, square, 1 if side == "left" else 0, onto=False)
 
 
 @dataclass

@@ -13,7 +13,7 @@ from itertools import combinations_with_replacement
 
 from .fpmod import FpModule
 from .towers import VanishingVerdict
-from .poly import mono_deg, mono_divides
+from .poly import mono_divides
 
 
 SCHEMA_VERSION = 1

@@ -22,12 +22,12 @@ from dataclasses import dataclass
 
 from .complexes import (BoundedComplex, ComplexMorphism, cohomology,
                         hom_complex, module_complex)
-from .fpmod import FpModule, ModuleMorphism, free_module
+from .fpmod import FpModule, ModuleMorphism, factor_through, free_module
 from .groebner import (SchreyerOrder, TopOrder, columns_to_vectors,
                        minimal_module_basis, module_groebner, vec_lead,
                        vectors_to_columns)
-from .intlinalg import Mat, mat_from_cols
-from .rings import ring_matmul, ring_zero_mat
+from .intlinalg import mat_from_cols
+from .rings import ring_identity, ring_matmul, ring_zero_mat
 
 
 class BudgetExceededError(RuntimeError):
@@ -63,7 +63,6 @@ def _resolution_over_z(m: FpModule):
         mods.insert(0, f1)
         diffs.append(ModuleMorphism(f1, f0, rel, check=False))
     comp = BoundedComplex(ring, -len(diffs), mods, diffs, check=False)
-    from .rings import ring_identity
     aug = ModuleMorphism(f0, m, ring_identity(ring, m.ngens), check=False)
     return FreeResolution(comp, aug, len(diffs), truncated=False)
 
@@ -136,7 +135,6 @@ def _assemble_poly_resolution(m: FpModule, mods, diffs_cols, truncated):
         tgt = mods[n - k + 1]
         diffs.append(ModuleMorphism(src, tgt, mat, check=False))
     comp = BoundedComplex(ring, -n, mods, diffs, check=False)
-    from .rings import ring_identity
     aug = ModuleMorphism(mods[-1], m, ring_identity(ring, m.ngens), check=False)
     return FreeResolution(comp, aug, n, truncated=truncated)
 
@@ -212,55 +210,39 @@ def ext_module(m: FpModule, n: FpModule, p: int,
 # comparison lifts
 
 
-def lift_through_resolution(phi: ModuleMorphism, res_src: FreeResolution,
-                            res_tgt: FreeResolution) -> ComplexMorphism:
-    """Chain map ``F(phi.source) -> F(phi.target)`` over ``phi``.
+def comparison_map(source: BoundedComplex, res: FreeResolution,
+                   map0: ModuleMorphism) -> ComplexMorphism:
+    """Chain map ``source -> res.complex`` extending ``map0 : source^0 -> F_0``.
 
-    Built degree by degree with span solving; the usual comparison
-    construction for projective resolutions.
+    ``source`` is a complex of free modules in degrees ``<= 0``; degree
+    ``-q`` is solved through the differential of ``res`` from degree
+    ``-(q - 1)``, for ``q = 1 .. min(-source.lo, res.length)``: the usual
+    comparison construction for projective resolutions.
     """
-    ring = phi.source.ring
-    maps = {}
-    # degree 0: lift phi o aug_src through aug_tgt
-    f0s = res_src.complex.module(0)
-    f0t = res_tgt.complex.module(0)
-    tgt_mod = res_tgt.module
-    target_cols = ring_matmul(ring, phi.matrix, res_src.augmentation.matrix)
-    oracle = ring.span_oracle(
-        [list(res_tgt.augmentation.matrix.col(j)) for j in range(f0t.ngens)] +
-        [list(tgt_mod.relations.col(j)) for j in range(tgt_mod.relations.ncols)],
-        tgt_mod.ngens)
-    cols = []
-    for j in range(target_cols.ncols):
-        sol = oracle.solve(list(target_cols.col(j)))
-        if sol is None:
-            raise ValueError("cannot lift morphism through resolutions")
-        cols.append(sol[: f0t.ngens])
-    maps[0] = ModuleMorphism(f0s, f0t, mat_from_cols([tuple(c) for c in cols], f0t.ngens),
-                             check=False)
-    # higher degrees
-    depth = min(res_src.length, res_tgt.length)
-    for q in range(1, depth + 1):
-        fs = res_src.complex.module(-q)
-        ft = res_tgt.complex.module(-q)
+    ring = res.complex.ring
+    maps = {0: map0}
+    for q in range(1, min(-source.lo, res.length) + 1):
+        fs = source.module(-q)
+        ft = res.complex.module(-q)
         if fs.ngens == 0 or ft.ngens == 0:
             maps[-q] = ModuleMorphism(fs, ft, ring_zero_mat(ring, ft.ngens, fs.ngens),
                                       check=False)
             continue
-        d_t = res_tgt.complex.diff(-q)  # F_q^t -> F_{q-1}^t
-        d_s = res_src.complex.diff(-q)
-        want = ring_matmul(ring, maps[-(q - 1)].matrix, d_s.matrix)
-        f_prev_t = res_tgt.complex.module(-(q - 1))
-        oracle = ring.span_oracle(
-            [list(d_t.matrix.col(j)) for j in range(ft.ngens)] +
-            [list(f_prev_t.relations.col(j)) for j in range(f_prev_t.relations.ncols)],
-            f_prev_t.ngens)
-        cols = []
-        for j in range(want.ncols):
-            sol = oracle.solve(list(want.col(j)))
-            if sol is None:
-                raise ValueError("comparison lift failed; resolution not exact?")
-            cols.append(sol[: ft.ngens])
-        maps[-q] = ModuleMorphism(fs, ft, mat_from_cols([tuple(c) for c in cols], ft.ngens),
-                                  check=False)
-    return ComplexMorphism(res_src.complex, res_tgt.complex, maps, check=False)
+        want = ring_matmul(ring, maps[-(q - 1)].matrix, source.diff(-q).matrix)
+        lift = factor_through(res.complex.diff(-q).matrix, res.complex.module(-(q - 1)),
+                              want, "comparison lift failed; resolution not exact?")
+        maps[-q] = ModuleMorphism(fs, ft, lift, check=False)
+    return ComplexMorphism(source, res.complex, maps, check=False)
+
+
+def lift_through_resolution(phi: ModuleMorphism, res_src: FreeResolution,
+                            res_tgt: FreeResolution) -> ComplexMorphism:
+    """Chain map ``F(phi.source) -> F(phi.target)`` over ``phi``."""
+    ring = phi.source.ring
+    # degree 0: lift phi o aug_src through aug_tgt
+    want = ring_matmul(ring, phi.matrix, res_src.augmentation.matrix)
+    lift = factor_through(res_tgt.augmentation.matrix, res_tgt.module, want,
+                          "cannot lift morphism through resolutions")
+    map0 = ModuleMorphism(res_src.complex.module(0), res_tgt.complex.module(0), lift,
+                          check=False)
+    return comparison_map(res_src.complex, res_tgt, map0)

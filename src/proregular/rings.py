@@ -20,12 +20,12 @@ services augment with the ideal block.
 from __future__ import annotations
 
 from .fieldlinalg import PrimeField, RationalField
-from .groebner import (GraphBasis, GroebnerBasis, TopOrder, groebner_basis,
-                       normal_form, reduced_module_groebner,
-                       columns_to_vectors, vectors_to_columns)
-from .intlinalg import (Mat, canonical_column_form, kernel_basis,
-                        column_style_hermite, mat_from_cols, solve_columns)
-from .poly import MonomialOrder, Poly, PolyRing
+from .groebner import (GraphBasis, TopOrder, groebner_basis, normal_form,
+                       reduced_module_groebner, columns_to_vectors,
+                       vectors_to_columns)
+from .intlinalg import (Mat, canonical_column_form, kernel_basis, mat_from_cols,
+                        solve_columns)
+from .poly import PolyRing
 
 
 class RingError(ValueError):
@@ -329,17 +329,15 @@ class QuotientRing(PolynomialRing):
                 cols.append(col)
         return cols
 
-    def _augmented(self, nrows):
-        return self.ideal_relation_columns(nrows)
-
     def span_oracle(self, cols, nrows):
-        return _PolySpanOracle(self.poly_ring, cols, nrows, self._augmented(nrows))
+        return _PolySpanOracle(self.poly_ring, cols, nrows,
+                               self.ideal_relation_columns(nrows))
 
     def kernel_of_columns(self, cols, nrows):
         return self.span_oracle(cols, nrows).syzygy_columns()
 
     def canonical_columns(self, cols, nrows):
-        allc = [list(c) for c in cols] + self._augmented(nrows)
+        allc = [list(c) for c in cols] + self.ideal_relation_columns(nrows)
         vecs = columns_to_vectors(self.poly_ring, allc)
         vecs = [v for v in vecs if v]
         if not vecs:
@@ -394,12 +392,6 @@ def ring_matmul(ring, a: Mat, b: Mat) -> Mat:
     return Mat(a.nrows, b.ncols, tuple(rows))
 
 
-def ring_mat_from_rows(ring, rows) -> Mat:
-    out = tuple(tuple(ring.coerce(x) for x in r) for r in rows)
-    ncols = len(out[0]) if out else 0
-    return Mat(len(out), ncols, out)
-
-
 def ring_identity(ring, n: int) -> Mat:
     one, zero = ring.one(), ring.zero()
     return Mat(n, n, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
@@ -408,10 +400,3 @@ def ring_identity(ring, n: int) -> Mat:
 def ring_zero_mat(ring, nrows: int, ncols: int) -> Mat:
     z = ring.zero()
     return Mat(nrows, ncols, tuple(tuple(z for _ in range(ncols)) for _ in range(nrows)))
-
-
-def ring_mat_eq(ring, a: Mat, b: Mat) -> bool:
-    if a.nrows != b.nrows or a.ncols != b.ncols:
-        return False
-    return all(ring.eq(a.entry(i, j), b.entry(i, j))
-               for i in range(a.nrows) for j in range(a.ncols))

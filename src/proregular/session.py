@@ -27,8 +27,7 @@ from dataclasses import dataclass, field
 from .complexes import BoundedComplex, ComplexError
 from .fpmod import FpModule, IdealSpec, ModuleError, ModuleMorphism
 from .intlinalg import Mat
-from .rings import (IntegerRing, PolynomialRing, QuotientRing, RingError,
-                    integers, prime_poly_ring, quotient_ring,
+from .rings import (RingError, integers, prime_poly_ring, quotient_ring,
                     rational_poly_ring)
 
 

@@ -26,19 +26,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import (BoundedComplex, ComplexMorphism, cohomology,
-                        cone, induced_cohomology_map, module_complex,
-                        tensor_complexes, tensor_complex_morphisms)
-from .fpmod import (FpModule, IdealSpec, ModuleMorphism, identity_morphism,
-                    ideal_power, annihilated_by_elements, power_sequence,
-                    quotient_module, submodule, submodules_equal)
+from .complexes import (BoundedComplex, ComplexMorphism, block_identity_map,
+                        cohomology, cone, hom_complex, hom_of_source_map,
+                        identity_complex_morphism, induced_cohomology_map,
+                        module_complex, tensor_complexes, tensor_complex_morphisms)
+from .fpmod import (FpModule, IdealSpec, ModuleMorphism, annihilated_by_elements,
+                    identity_morphism, ideal_power, power_sequence,
+                    quotient_by_sequence, quotient_module, submodules_equal)
 from .intlinalg import Mat, mat_from_cols
 from .koszul import (dual_koszul, dual_koszul_transition, koszul_complex,
                      koszul_transition, weak_proregularity_check)
-from .resolutions import free_resolution, lift_through_resolution
+from .resolutions import comparison_map, free_resolution, lift_through_resolution
 from .rings import ring_matmul
 from .towers import (IndSystem, ProSystem, SystemMap, TowerEquivalenceVerdict,
-                     VanishingVerdict, tower_equivalence, vanishing_check)
+                     required_levels, tower_equivalence, vanishing_check)
 
 
 class StabilizationBudgetError(RuntimeError):
@@ -56,25 +57,35 @@ class TorsionData:
     stabilization_index: int
 
 
+def _stable_annihilator(m: FpModule, elements_at, max_stabilization: int,
+                        label: str):
+    """First stable stage of the ascending chain ``{x in m : g x = 0 for all
+    g in elements_at(i)}``, ``i = 1, 2, ...``: ``(sub, incl, index)``.
+
+    The chain stops at the first repeat (equality as submodules); raises
+    ``StabilizationBudgetError`` naming ``label`` if it is still moving at
+    the budget.
+    """
+    prev = None
+    for i in range(1, max_stabilization + 1):
+        sub, incl = annihilated_by_elements(m, elements_at(i))
+        cols = [list(incl.matrix.col(j)) for j in range(incl.matrix.ncols)]
+        if prev is not None and submodules_equal(m, prev[2], cols):
+            return prev[0], prev[1], i - 1
+        prev = sub, incl, cols
+    raise StabilizationBudgetError(
+        f"{label} did not stabilize within {max_stabilization} steps")
+
+
 def gamma(m: FpModule, a: IdealSpec, max_stabilization: int = 32) -> TorsionData:
     """Largest submodule annihilated by a power of the ideal.
 
-    Computed as the ascending chain of ideal-power annihilators, stopped at
-    the first repeat (equality as submodules); raises
-    ``StabilizationBudgetError`` if the chain is still moving at the budget.
+    Computed as the ascending chain of ideal-power annihilators.
     """
-    prev_cols = None
-    prev = None
-    for i in range(1, max_stabilization + 1):
-        gens = ideal_power(a, i).generators
-        sub, incl = annihilated_by_elements(m, gens)
-        cols = [list(incl.matrix.col(j)) for j in range(incl.matrix.ncols)]
-        if prev_cols is not None and submodules_equal(m, prev_cols, cols):
-            return TorsionData(module=prev[0], inclusion=prev[1],
-                               stabilization_index=i - 1)
-        prev_cols, prev = cols, (sub, incl)
-    raise StabilizationBudgetError(
-        f"annihilator chain did not stabilize within {max_stabilization} steps")
+    sub, incl, index = _stable_annihilator(
+        m, lambda i: ideal_power(a, i).generators, max_stabilization,
+        "annihilator chain")
+    return TorsionData(module=sub, inclusion=incl, stabilization_index=index)
 
 
 def gamma_idempotence(m: FpModule, a: IdealSpec,
@@ -96,30 +107,35 @@ def gamma_idempotence(m: FpModule, a: IdealSpec,
 # torsion towers
 
 
+def _ext_tower(m: FpModule, quotients, p: int, max_length):
+    """``(system, resolutions, homs)`` for the ind-system ``{Ext^p(Q_i, M)}``
+    of the cyclic quotients ``Q_i``, with transitions induced by the
+    surjections ``Q_{i+1} ->> Q_i`` that are the identity on the generator."""
+    ring = m.ring
+    mcx = module_complex(m)
+    resolutions = [free_resolution(q, max_length=max_length, truncate_at=p + 1)
+                   for q in quotients]
+    homs = [hom_complex(r.complex, mcx) for r in resolutions]
+    objects = [cohomology(h, p) for h in homs]
+    transitions = []
+    for i in range(len(quotients) - 1):
+        proj = ModuleMorphism(quotients[i + 1], quotients[i],
+                              mat_from_cols([(ring.one(),)], 1), check=False)
+        lifted = lift_through_resolution(proj, resolutions[i + 1], resolutions[i])
+        hom_map = hom_of_source_map(lifted, mcx, hom_source=homs[i],
+                                    hom_target=homs[i + 1])
+        transitions.append(induced_cohomology_map(hom_map, p, check=False))
+    return IndSystem(objects, transitions, check=False), resolutions, homs
+
+
 def ext_torsion_tower(m: FpModule, a: IdealSpec, p: int, depth: int,
                       max_length: int | None = None) -> IndSystem:
     """``{Ext^p(A/a^i, M)}_{i <= depth}`` with transitions induced by the
     stage surjections ``A/a^{i+1} ->> A/a^i``."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    ring = m.ring
-    from .complexes import hom_complex
     quotients = [quotient_module(a, i) for i in range(1, depth + 1)]
-    resolutions = [free_resolution(q, max_length=max_length, truncate_at=p + 1)
-                   for q in quotients]
-    homs = [hom_complex(r.complex, module_complex(m)) for r in resolutions]
-    objects = [cohomology(h, p) for h in homs]
-    transitions = []
-    from .complexes import hom_of_source_map
-    for i in range(depth - 1):
-        # surjection A/a^{i+2} ->> A/a^{i+1} is the identity on the generator
-        proj = ModuleMorphism(quotients[i + 1], quotients[i],
-                              mat_from_cols([(ring.one(),)], 1), check=False)
-        lifted = lift_through_resolution(proj, resolutions[i + 1], resolutions[i])
-        hom_map = hom_of_source_map(lifted, module_complex(m),
-                                    hom_source=homs[i], hom_target=homs[i + 1])
-        transitions.append(induced_cohomology_map(hom_map, p, check=False))
-    return IndSystem(objects, transitions, check=False)
+    return _ext_tower(m, quotients, p, max_length)[0]
 
 
 def koszul_torsion_tower(m: FpModule, a: IdealSpec, p: int,
@@ -131,37 +147,25 @@ def koszul_torsion_tower(m: FpModule, a: IdealSpec, p: int,
     mcx = module_complex(m)
     stages = [tensor_complexes(d, mcx) for d in duals]
     objects = [cohomology(s, p) for s in stages]
+    id_m = identity_complex_morphism(mcx)
     transitions = []
     for i in range(depth - 1):
         tr = dual_koszul_transition(a, i + 1, i + 2,
                                     source=duals[i], target=duals[i + 1])
-        big = tensor_complex_morphisms(
-            tr, ComplexMorphism(mcx, mcx, {0: identity_morphism(m)}, check=False),
-            stages[i], stages[i + 1])
+        big = tensor_complex_morphisms(tr, id_m, stages[i], stages[i + 1])
         transitions.append(induced_cohomology_map(big, p, check=False))
     return IndSystem(objects, transitions, check=False)
 
 
-def koszul_level_zero_submodule(m: FpModule, a: IdealSpec, power: int):
-    """``H^0(Kdual(A; a^power) (x) M)`` realized as a submodule of ``M``:
-    the kernel of multiplication by the elementwise powers."""
-    gens = power_sequence(a, power).generators
-    return annihilated_by_elements(m, gens)
-
-
 def stabilized_koszul_level_zero(m: FpModule, a: IdealSpec,
                                  max_stabilization: int = 32):
-    """First stable stage of the level-0 Koszul torsion chain."""
-    prev_cols = None
-    prev = None
-    for i in range(1, max_stabilization + 1):
-        sub, incl = koszul_level_zero_submodule(m, a, i)
-        cols = [list(incl.matrix.col(j)) for j in range(incl.matrix.ncols)]
-        if prev_cols is not None and submodules_equal(m, prev_cols, cols):
-            return prev[0], prev[1], i - 1
-        prev_cols, prev = cols, (sub, incl)
-    raise StabilizationBudgetError(
-        f"Koszul level-0 chain did not stabilize within {max_stabilization} steps")
+    """First stable stage of the level-0 Koszul torsion chain.
+
+    Stage ``i`` is ``H^0(Kdual(A; a^i) (x) M)`` realized as a submodule of
+    ``M``: the kernel of multiplication by the elementwise powers.
+    """
+    return _stable_annihilator(m, lambda i: power_sequence(a, i).generators,
+                               max_stabilization, "Koszul level-0 chain")
 
 
 def ext_koszul_comparison(m: FpModule, a: IdealSpec, p: int, depth: int,
@@ -174,24 +178,10 @@ def ext_koszul_comparison(m: FpModule, a: IdealSpec, p: int, depth: int,
     generator, and for any stage where the Koszul complex resolves the
     cyclic quotient).
     """
-    from .complexes import hom_complex, hom_of_source_map
-    from .fpmod import quotient_by_sequence
     ring = m.ring
     mcx = module_complex(m)
     quotients = [quotient_by_sequence(a, i) for i in range(1, depth + 1)]
-    resolutions = [free_resolution(q, truncate_at=p + 1) for q in quotients]
-    homs = [hom_complex(r.complex, mcx) for r in resolutions]
-    ext_objs = [cohomology(h, p) for h in homs]
-    ext_trans = []
-    for i in range(depth - 1):
-        proj = ModuleMorphism(quotients[i + 1], quotients[i],
-                              mat_from_cols([(ring.one(),)], 1), check=False)
-        lifted = lift_through_resolution(proj, resolutions[i + 1], resolutions[i])
-        hom_map = hom_of_source_map(lifted, mcx, hom_source=homs[i],
-                                    hom_target=homs[i + 1])
-        ext_trans.append(induced_cohomology_map(hom_map, p, check=False))
-    ext_sys = IndSystem(ext_objs, ext_trans, check=False)
-
+    ext_sys, resolutions, homs = _ext_tower(m, quotients, p, None)
     kos_sys = koszul_torsion_tower(m, a, p, depth)
 
     # comparison chain maps K(A; a^i) -> F_i lifting the identity of A/(a^i)
@@ -200,9 +190,10 @@ def ext_koszul_comparison(m: FpModule, a: IdealSpec, p: int, depth: int,
     level_maps = []
     for i in range(depth):
         k = koszul_complex(a, i + 1)
-        res = resolutions[i]
         # lift id through: K -> A/(seq^i) augmentations agree on degree 0
-        comp_maps = _lift_koszul_to_resolution(k, res, a, i + 1)
+        unit = ModuleMorphism(k.module(0), resolutions[i].complex.module(0),
+                              mat_from_cols([(ring.one(),)], 1), check=False)
+        comp_maps = comparison_map(k, resolutions[i], unit)
         hom_map = hom_of_source_map(comp_maps, mcx, hom_source=homs[i],
                                     hom_target=None)
         # hom target is Hom(K, M) which equals the koszul stage complex
@@ -218,73 +209,32 @@ def ext_koszul_comparison(m: FpModule, a: IdealSpec, p: int, depth: int,
     return tower_equivalence(fmap, window)
 
 
-def _lift_koszul_to_resolution(k: BoundedComplex, res, a: IdealSpec,
-                               power: int) -> ComplexMorphism:
-    """Chain map ``K(A; a^power) -> F`` over the identity of the cyclic
-    quotient, built degree by degree (works whenever the solves succeed)."""
-    ring = a.ring
-    maps = {}
-    f0 = res.complex.module(0)
-    maps[0] = ModuleMorphism(k.module(0), f0,
-                             mat_from_cols([tuple([ring.one()] + [ring.zero()] *
-                                                  (f0.ngens - 1))], f0.ngens),
-                             check=False)
-    for q in range(1, -res.complex.lo + 1):
-        fq = res.complex.module(-q)
-        kq = k.module(-q)
-        if kq.ngens == 0 or fq.ngens == 0:
-            maps[-q] = ModuleMorphism(kq, fq,
-                                      Mat(fq.ngens, kq.ngens, tuple(
-                                          tuple(ring.zero() for _ in range(kq.ngens))
-                                          for _ in range(fq.ngens))), check=False)
-            continue
-        d_f = res.complex.diff(-q)
-        d_k = k.diff(-q)
-        prev_f = res.complex.module(-(q - 1))
-        want = ring_matmul(ring, maps[-(q - 1)].matrix, d_k.matrix)
-        oracle = ring.span_oracle(
-            [list(d_f.matrix.col(j)) for j in range(fq.ngens)] +
-            [list(prev_f.relations.col(j)) for j in range(prev_f.relations.ncols)],
-            prev_f.ngens)
-        cols = []
-        for j in range(want.ncols):
-            sol = oracle.solve(list(want.col(j)))
-            if sol is None:
-                raise ValueError("Koszul-to-resolution lift failed")
-            cols.append(sol[: fq.ngens])
-        maps[-q] = ModuleMorphism(kq, fq,
-                                  mat_from_cols([tuple(c) for c in cols], fq.ngens),
-                                  check=False)
-    return ComplexMorphism(k, res.complex, maps, check=False)
-
-
 # ---------------------------------------------------------------------------
 # completion towers
+
+
+def _quotient_tower(m: FpModule, levels) -> ProSystem:
+    """``{M / (s_1, ..., s_r) M}`` for each ``(scalars, name)`` in ``levels``,
+    with the surjections that are the identity on generators."""
+    ring = m.ring
+    rel_cols = [list(m.relations.col(j)) for j in range(m.relations.ncols)]
+    objects = []
+    for scalars, name in levels:
+        extra = [[s if t == k else ring.zero() for t in range(m.ngens)]
+                 for s in scalars for k in range(m.ngens)]
+        objects.append(FpModule(ring, m.ngens, rel_cols + extra, name=name))
+    transitions = [ModuleMorphism(objects[i + 1], objects[i],
+                                  identity_morphism(m).matrix, check=False)
+                   for i in range(len(objects) - 1)]
+    return ProSystem(objects, transitions, check=False)
 
 
 def completion_tower(m: FpModule, a: IdealSpec, depth: int) -> ProSystem:
     """``{M / a^i M}_{i <= depth}`` with the canonical surjections."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    ring = m.ring
-    objects = []
-    for i in range(1, depth + 1):
-        gens = ideal_power(a, i).generators
-        extra = []
-        for g in gens:
-            for k in range(m.ngens):
-                col = [ring.zero()] * m.ngens
-                col[k] = g
-                extra.append(col)
-        rel_cols = [list(m.relations.col(j)) for j in range(m.relations.ncols)]
-        objects.append(FpModule(ring, m.ngens, rel_cols + extra,
-                                name=f"{m.name or 'M'}/a^{i}"))
-    transitions = []
-    for i in range(depth - 1):
-        # identity on generators: M/a^{i+2} M ->> M/a^{i+1} M
-        transitions.append(ModuleMorphism(objects[i + 1], objects[i],
-                                          identity_morphism(m).matrix, check=False))
-    return ProSystem(objects, transitions, check=False)
+    return _quotient_tower(m, [(ideal_power(a, i).generators, f"{m.name or 'M'}/a^{i}")
+                               for i in range(1, depth + 1)])
 
 
 def profinite_tower(m: FpModule, moduli) -> ProSystem:
@@ -297,22 +247,7 @@ def profinite_tower(m: FpModule, moduli) -> ProSystem:
     for x, y in zip(moduli, moduli[1:]):
         if y % x != 0:
             raise ValueError(f"divisibility chain violated: {x} does not divide {y}")
-    ring = m.ring
-    objects = []
-    for k in moduli:
-        extra = []
-        for t in range(m.ngens):
-            col = [0] * m.ngens
-            col[t] = k
-            extra.append(col)
-        rel_cols = [list(m.relations.col(j)) for j in range(m.relations.ncols)]
-        objects.append(FpModule(ring, m.ngens, rel_cols + extra,
-                                name=f"{m.name or 'M'}/{k}"))
-    transitions = []
-    for i in range(len(moduli) - 1):
-        transitions.append(ModuleMorphism(objects[i + 1], objects[i],
-                                          identity_morphism(m).matrix, check=False))
-    return ProSystem(objects, transitions, check=False)
+    return _quotient_tower(m, [((k,), f"{m.name or 'M'}/{k}") for k in moduli])
 
 
 def derived_completion_tower(c: BoundedComplex, a: IdealSpec,
@@ -326,8 +261,7 @@ def derived_completion_tower(c: BoundedComplex, a: IdealSpec,
     koszuls = [koszul_complex(a, i) for i in range(1, depth + 1)]
     for i in range(depth):
         stages.append(tensor_complexes(c, koszuls[i]))
-    id_c = ComplexMorphism(c, c, {q: identity_morphism(c.module(q))
-                                  for q in c.degrees()}, check=False)
+    id_c = identity_complex_morphism(c)
     trans_cx = []
     for i in range(depth - 1):
         tr = koszul_transition(a, i + 2, i + 1, source=koszuls[i + 1],
@@ -371,57 +305,6 @@ class MgmReport:
         return self.tau_side.passed and self.sigma_side.passed
 
 
-def _unit_into_koszul_map(base: BoundedComplex, kos: BoundedComplex,
-                          tensored: BoundedComplex, ring) -> ComplexMorphism:
-    """``id (x) u : base -> base (x) K`` where ``u : A[0] -> K`` is the
-    degree-0 identity; lands in the blocks ``(q, 0)`` of the tensor."""
-    maps = {}
-    for q in base.degrees():
-        src = base.module(q)
-        tgt = tensored.module(q)
-        rows = [[ring.zero()] * src.ngens for _ in range(tgt.ngens)]
-        for (i, j), off, width in tensored.layout.get(q, []):
-            if j == 0 and i == q and width:
-                gk0 = kos.module(0).ngens  # == 1
-                for aidx in range(src.ngens):
-                    rows[off + aidx * gk0][aidx] = ring.one()
-        maps[q] = ModuleMorphism(src, tgt,
-                                 Mat(tgt.ngens, src.ngens,
-                                     tuple(tuple(r) for r in rows)), check=False)
-    lo = min(base.lo, tensored.lo)
-    hi = max(base.hi, tensored.hi)
-    for q in range(lo, hi + 1):
-        maps.setdefault(q, ModuleMorphism(base.module(q), tensored.module(q),
-                                          Mat(tensored.module(q).ngens,
-                                              base.module(q).ngens, tuple(
-                                                  tuple(ring.zero()
-                                                        for _ in range(base.module(q).ngens))
-                                                  for _ in range(tensored.module(q).ngens))),
-                                          check=False))
-    return ComplexMorphism(base, tensored, maps, check=True)
-
-
-def _counit_from_dual_map(dual: BoundedComplex, base: BoundedComplex,
-                          tensored: BoundedComplex, ring) -> ComplexMorphism:
-    """``rho (x) id : dual (x) base -> base`` killing the blocks with
-    nonzero dual degree."""
-    maps = {}
-    lo = min(base.lo, tensored.lo)
-    hi = max(base.hi, tensored.hi)
-    for q in range(lo, hi + 1):
-        src = tensored.module(q)
-        tgt = base.module(q)
-        rows = [[ring.zero()] * src.ngens for _ in range(tgt.ngens)]
-        for (i, j), off, width in tensored.layout.get(q, []):
-            if i == 0 and j == q and width:
-                for b in range(tgt.ngens):
-                    rows[b][off + b] = ring.one()
-        maps[q] = ModuleMorphism(src, tgt,
-                                 Mat(tgt.ngens, src.ngens,
-                                     tuple(tuple(r) for r in rows)), check=False)
-    return ComplexMorphism(tensored, base, maps, check=True)
-
-
 def mgm_check(m: FpModule, a: IdealSpec, depth: int = 4, window: int = 1,
               require_wpr: bool = True) -> MgmReport:
     """Finite-depth torsion/completion equivalence for the module ``m``.
@@ -433,12 +316,10 @@ def mgm_check(m: FpModule, a: IdealSpec, depth: int = 4, window: int = 1,
     ``Kdual^i (x) (M (x) K^k)`` form an ind-system in ``i`` whose cohomology
     towers must vanish.
     """
-    ring = m.ring
     if require_wpr:
         wpr = weak_proregularity_check(a, depth, window)
         if not wpr.passed:
             raise ValueError("sequence did not pass the weak proregularity check")
-    from .towers import required_levels
     req = required_levels(depth, window)
     mcx = module_complex(m)
     koszuls = [koszul_complex(a, i) for i in range(1, depth + 1)]
@@ -446,82 +327,57 @@ def mgm_check(m: FpModule, a: IdealSpec, depth: int = 4, window: int = 1,
 
     # tau side: torsion of completion = torsion
     tau_stage = {}
-    tau_ok = True
     for k in req:
         base = tensor_complexes(duals[k - 1], mcx)
-        cones = []
-        unit_maps = []
-        tens = []
-        for i in range(1, depth + 1):
-            t = tensor_complexes(base, koszuls[i - 1])
-            tens.append(t)
-            unit_maps.append(_unit_into_koszul_map(base, koszuls[i - 1], t, ring))
-            cones.append(cone(unit_maps[-1]))
-        id_base = ComplexMorphism(base, base,
-                                  {q: identity_morphism(base.module(q))
-                                   for q in base.degrees()}, check=False)
+        id_base = identity_complex_morphism(base)
+        tens = [tensor_complexes(base, kos) for kos in koszuls]
+        units = [block_identity_map(base, t, 0, onto=True) for t in tens]
+        cones = [cone(u) for u in units]
         cone_trans = []
         for i in range(depth - 1):
             ktr = koszul_transition(a, i + 2, i + 1, source=koszuls[i + 1],
                                     target=koszuls[i])
             ttr = tensor_complex_morphisms(id_base, ktr, tens[i + 1], tens[i])
-            cone_trans.append(_cone_functor_map(unit_maps[i + 1], unit_maps[i],
+            cone_trans.append(_cone_functor_map(units[i + 1], units[i],
                                                 id_base, ttr, cones[i + 1], cones[i]))
-        per_q = {}
-        lo = min(c.lo for c in cones)
-        hi = max(c.hi for c in cones)
-        for q in range(lo, hi + 1):
-            objects = [cohomology(cones[i], q) for i in range(depth)]
-            transitions = [induced_cohomology_map(cone_trans[i], q, check=False)
-                           for i in range(depth - 1)]
-            system = ProSystem(objects, transitions, check=False)
-            verdict = vanishing_check(system, window)
-            per_q[q] = verdict
-            tau_ok = tau_ok and verdict.passed
-        tau_stage[k] = per_q
-    tau = EquivalenceSideReport(side="torsion-of-completion", per_stage=tau_stage,
-                                status="pass" if tau_ok else "undetermined")
+        tau_stage[k] = _cone_verdicts(cones, cone_trans, ProSystem, window)
 
     # sigma side: completion of torsion = completion
     sigma_stage = {}
-    sigma_ok = True
     for k in req:
         base = tensor_complexes(mcx, koszuls[k - 1])
-        cones = []
-        counit_maps = []
-        tens = []
-        for i in range(1, depth + 1):
-            t = tensor_complexes(duals[i - 1], base)
-            tens.append(t)
-            counit_maps.append(_counit_from_dual_map(duals[i - 1], base, t, ring))
-            cones.append(cone(counit_maps[-1]))
-        id_base = ComplexMorphism(base, base,
-                                  {q: identity_morphism(base.module(q))
-                                   for q in base.degrees()}, check=False)
+        id_base = identity_complex_morphism(base)
+        tens = [tensor_complexes(d, base) for d in duals]
+        counits = [block_identity_map(base, t, 1, onto=False) for t in tens]
+        cones = [cone(c) for c in counits]
         cone_trans = []
         for i in range(depth - 1):
             dtr = dual_koszul_transition(a, i + 1, i + 2, source=duals[i],
                                          target=duals[i + 1])
             ttr = tensor_complex_morphisms(dtr, id_base, tens[i], tens[i + 1])
-            cone_trans.append(_cone_functor_map(counit_maps[i], counit_maps[i + 1],
+            cone_trans.append(_cone_functor_map(counits[i], counits[i + 1],
                                                 ttr, id_base, cones[i], cones[i + 1]))
-        per_q = {}
-        lo = min(c.lo for c in cones)
-        hi = max(c.hi for c in cones)
-        for q in range(lo, hi + 1):
-            objects = [cohomology(cones[i], q) for i in range(depth)]
-            transitions = [induced_cohomology_map(cone_trans[i], q, check=False)
-                           for i in range(depth - 1)]
-            system = IndSystem(objects, transitions, check=False)
-            verdict = vanishing_check(system, window)
-            per_q[q] = verdict
-            sigma_ok = sigma_ok and verdict.passed
-        sigma_stage[k] = per_q
-    sigma = EquivalenceSideReport(side="completion-of-torsion",
-                                  per_stage=sigma_stage,
-                                  status="pass" if sigma_ok else "undetermined")
-    return MgmReport(ideal=a, depth=depth, window=window, tau_side=tau,
-                     sigma_side=sigma)
+        sigma_stage[k] = _cone_verdicts(cones, cone_trans, IndSystem, window)
+    return MgmReport(ideal=a, depth=depth, window=window,
+                     tau_side=_side_report("torsion-of-completion", tau_stage),
+                     sigma_side=_side_report("completion-of-torsion", sigma_stage))
+
+
+def _cone_verdicts(cones, cone_trans, system_cls, window: int) -> dict:
+    """Per degree ``q``: the vanishing verdict of the tower ``{H^q(cone_i)}``
+    (a ``system_cls``) with the maps induced by ``cone_trans``."""
+    per_q = {}
+    for q in range(min(c.lo for c in cones), max(c.hi for c in cones) + 1):
+        objects = [cohomology(c, q) for c in cones]
+        transitions = [induced_cohomology_map(t, q, check=False) for t in cone_trans]
+        per_q[q] = vanishing_check(system_cls(objects, transitions, check=False), window)
+    return per_q
+
+
+def _side_report(side: str, per_stage: dict) -> EquivalenceSideReport:
+    ok = all(v.passed for per_q in per_stage.values() for v in per_q.values())
+    return EquivalenceSideReport(side=side, per_stage=per_stage,
+                                 status="pass" if ok else "undetermined")
 
 
 def _cone_functor_map(phi_src: ComplexMorphism, phi_tgt: ComplexMorphism,

@@ -20,10 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .fpmod import FpModule, ModuleMorphism, identity_morphism, kernel, \
-    cokernel, zero_morphism
-from .intlinalg import mat_from_cols
-from .rings import ring_matmul
+from .fpmod import (FpModule, ModuleMorphism, cokernel, factor_through,
+                    identity_morphism, kernel)
+from .rings import ring_identity, ring_matmul
 
 
 class TowerError(ValueError):
@@ -206,7 +205,6 @@ class SystemMap:
             k, incl = kernel(f)
             kers.append(k)
             incls.append(incl)
-        ring = self.source.objects[0].ring
         trans = []
         for t in range(self.depth - 1):
             if self.source.direction == "ind":
@@ -241,20 +239,9 @@ class SystemMap:
 def _lift_into_submodule(ambient_map: ModuleMorphism,
                          incl: ModuleMorphism) -> ModuleMorphism:
     """Factor ``ambient_map`` through the submodule inclusion ``incl``."""
-    ring = ambient_map.source.ring
-    parent = incl.target
-    oracle = ring.span_oracle(
-        [list(incl.matrix.col(j)) for j in range(incl.matrix.ncols)] +
-        [list(parent.relations.col(j)) for j in range(parent.relations.ncols)],
-        parent.ngens)
-    cols = []
-    for j in range(ambient_map.matrix.ncols):
-        sol = oracle.solve(list(ambient_map.matrix.col(j)))
-        if sol is None:
-            raise TowerError("map does not factor through the submodule")
-        cols.append(sol[: incl.source.ngens])
     return ModuleMorphism(ambient_map.source, incl.source,
-                          mat_from_cols([tuple(c) for c in cols], incl.source.ngens),
+                          factor_through(incl.matrix, incl.target, ambient_map.matrix,
+                                         "map does not factor through the submodule"),
                           check=False)
 
 
@@ -267,27 +254,9 @@ def _descend_through_projection(comp: ModuleMorphism,
     """
     ring = comp.source.ring
     c1 = proj.target
-    oracle = ring.span_oracle(
-        [list(proj.matrix.col(j)) for j in range(proj.matrix.ncols)] +
-        [list(c1.relations.col(j)) for j in range(c1.relations.ncols)], c1.ngens)
-    cols = []
-    one, zero = ring.one(), ring.zero()
-    for k in range(c1.ngens):
-        e = [one if t == k else zero for t in range(c1.ngens)]
-        sol = oracle.solve(e)
-        if sol is None:
-            raise TowerError("projection is not surjective on generators")
-        # image under comp of the chosen preimage
-        pre = sol[: proj.matrix.ncols]
-        col = [zero] * comp.target.ngens
-        for j, coeff in enumerate(pre):
-            if ring.is_zero(coeff):
-                continue
-            for r in range(comp.target.ngens):
-                col[r] = ring.add(col[r], ring.mul(coeff, comp.matrix.entry(r, j)))
-        cols.append(col)
-    return ModuleMorphism(c1, comp.target,
-                          mat_from_cols([tuple(c) for c in cols], comp.target.ngens),
+    preimages = factor_through(proj.matrix, c1, ring_identity(ring, c1.ngens),
+                               "projection is not surjective on generators")
+    return ModuleMorphism(c1, comp.target, ring_matmul(ring, comp.matrix, preimages),
                           check=False)
 
 

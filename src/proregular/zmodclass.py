@@ -29,18 +29,8 @@ truncated models in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+from .fieldlinalg import is_prime
 
 
 def _v_p(n: int, p: int) -> int:
@@ -65,12 +55,12 @@ class Summand:
             if not self.primes:
                 raise ValueError("Z[1/S] needs a nonempty prime set")
             for q in self.primes:
-                if not _is_prime(q):
+                if not is_prime(q):
                     raise ValueError(f"{q} is not prime")
             if tuple(sorted(set(self.primes))) != self.primes:
                 raise ValueError("primes must be sorted and distinct")
         elif self.kind in ("Zmod", "Pruefer"):
-            if not _is_prime(self.p):
+            if not is_prime(self.p):
                 raise ValueError(f"{self.p} is not prime")
             if self.kind == "Zmod" and self.k < 1:
                 raise ValueError("Z/p^k needs k >= 1")
@@ -154,7 +144,7 @@ def zero_class() -> ZModClass:
 
 def rationals_mod_integers(prime_bound: int = 13) -> ZModClass:
     """``Q/Z`` truncated to its ``p``-primary parts for ``p <= bound``."""
-    ps = [p for p in range(2, prime_bound + 1) if _is_prime(p)]
+    ps = [p for p in range(2, prime_bound + 1) if is_prime(p)]
     return ZModClass([summand_pruefer(p) for p in ps])
 
 
@@ -164,7 +154,7 @@ def rationals_mod_integers(prime_bound: int = 13) -> ZModClass:
 
 def zmod_gamma(p: int, d: ZModClass) -> ZModClass:
     """p-power torsion part: keeps ``Z/p^k`` and ``Z(p^oo)`` summands."""
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     out = []
     for s in d.summands:
@@ -232,7 +222,7 @@ def _cyclic_factors(n: int):
 
 def zmod_localize_away(p: int, d: ZModClass) -> ZModClass:
     """``D[1/p]``: p-primary summands die, Z gets p inverted."""
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     out = []
     for s in d.summands:
@@ -249,7 +239,7 @@ def zmod_localize_away(p: int, d: ZModClass) -> ZModClass:
 
 def zmod_localization_map_cokernel(p: int, d: ZModClass) -> ZModClass:
     """Cokernel of the canonical map ``D -> D[1/p]`` summand by summand."""
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     out = []
     for s in d.summands:
@@ -265,9 +255,6 @@ def zmod_localization_map_cokernel(p: int, d: ZModClass) -> ZModClass:
 
 # ---------------------------------------------------------------------------
 # the finite-depth stability checks
-
-
-from dataclasses import field as _field
 
 
 @dataclass
@@ -297,7 +284,7 @@ def weak_stability_check(p: int, depth: int = 6,
     """For each injective ``I``: the torsion part ``J = Gamma_p(I)`` must
     have ``Ext^1(Z/p^i, J) = 0`` at every level ``i <= depth`` (over Z the
     higher degrees vanish for degree reasons)."""
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if test_set is None:
         test_set = default_injective_test_set(p)
@@ -334,7 +321,7 @@ def injective_torsion_acyclicity_test(p: int, test_set=None,
                                       depth: int = 6) -> InjectiveTorsionReport:
     """Higher cohomology of ``[I -> I[1/p]]`` vanishes for injective ``I``;
     the degree-0 part recomputes the torsion part."""
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if test_set is None:
         test_set = default_injective_test_set(p)

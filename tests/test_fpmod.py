@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from proregular.fpmod import (FpModule, IdealSpec, ModuleError, ModuleMorphism,
                               free_module, hom_module, ideal_power,
                               identity_morphism, image, is_zero, kernel,
                               minimized, multiplication_morphism,
-                              power_sequence, quotient_module, submodule,
+                              power_sequence, quotient_module,
                               submodules_equal, tensor_module, zero_module,
                               zero_morphism)
 from proregular.intlinalg import Mat
@@ -38,6 +39,50 @@ def test_ideal_power_single_generator():
     a = IdealSpec.make(ZZ, [2])
     assert ideal_power(a, 3).generators == (8,)
     assert power_sequence(a, 3).generators == (8,)
+
+
+def _ideal_power_by_all_products(a, i):
+    """Every one of the n^i ordered products, deduplicated with ``ring.eq``."""
+    ring = a.ring
+    out = []
+    for idx in itertools.product(range(len(a.generators)), repeat=i):
+        p = ring.one()
+        for k in idx:
+            p = ring.mul(p, a.generators[k])
+        if not ring.is_zero(p) and not any(ring.eq(p, q) for q in out):
+            out.append(p)
+    return tuple(ring.generator_sort(out))
+
+
+def _random_poly(rng, ring, nvars):
+    text = "0"
+    for _ in range(rng.randint(1, 3)):
+        mono = "*".join(f"{v}^{rng.randint(0, 2)}" for v in ring.variables[:nvars])
+        text += f" {rng.choice('+-')} {rng.randint(1, 2)}*{mono}"
+    return text
+
+
+def test_ideal_power_matches_all_products():
+    rng = random.Random(7)
+    base = rational_poly_ring(("x", "y", "z"))
+    rings = [base, prime_poly_ring(5, ("x", "y", "z")),
+             quotient_ring(base, ["x*y", "z^2 - x"])]
+    cases = [IdealSpec.make(ZZ, [2, 3, 6, 4]), IdealSpec.make(ZZ, [-2, 2, 5])]
+    for ring in rings:
+        # equal supports with different coefficients tie in generator_sort
+        cases.append(IdealSpec.make(ring, ["x + y", "2*x + 2*y", "x - y", "z"]))
+        for _ in range(4):
+            cases.append(IdealSpec.make(
+                ring, [_random_poly(rng, ring, 3) for _ in range(rng.randint(1, 3))]))
+    for a in cases:
+        for i in range(1, 5):
+            assert ideal_power(a, i).generators == _ideal_power_by_all_products(a, i), (a, i)
+
+
+def test_ideal_power_counts_multisets():
+    ring = rational_poly_ring(("x", "y", "z"))
+    # 91 = C(14, 2) monomials of degree 12; the n^i products would be 531,441
+    assert len(ideal_power(IdealSpec.make(ring, ["x", "y", "z"]), 12)) == 91
 
 
 def test_ideal_power_4_6():

@@ -3,8 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from proregular.fieldlinalg import (PrimeField, RationalField, kernel, rank,
-                                    rref, solve)
+from proregular.fieldlinalg import PrimeField, RationalField, rank
 from proregular.groebner import (GraphBasis, TopOrder, groebner_basis,
                                  ideal_member, normal_form,
                                  reduced_module_groebner, syzygies_of_columns,
@@ -29,19 +28,6 @@ def test_field_matrix_examples():
 def test_prime_field_requires_prime():
     with pytest.raises(ValueError):
         PrimeField(4)
-
-
-def test_field_kernel_and_solve():
-    q = RationalField()
-    m = Mat.from_rows([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
-    k = kernel(q, m)
-    assert k.ncols == 1
-    v = k.col(0)
-    assert m.entry(0, 0) * v[0] + m.entry(0, 1) * v[1] == 0
-    x = solve(q, Mat.from_rows([[Fraction(2), 0], [0, Fraction(3)]]),
-              Mat.from_rows([[Fraction(1)], [Fraction(1)]]))
-    assert x.col(0) == (Fraction(1, 2), Fraction(1, 3))
-    assert solve(q, m, Mat.from_rows([[Fraction(1)], [Fraction(0)]])) is None
 
 
 def test_grevlex_order():

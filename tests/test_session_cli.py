@@ -9,6 +9,7 @@ from proregular.cli import run
 from proregular.session import SessionError, parse_session
 
 SESSIONS = os.path.join(os.path.dirname(__file__), "..", "sessions")
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def sess(name):
@@ -117,6 +118,13 @@ GOLDEN_RUNS = [
     (["profinite-tower", sess("s09_z_profinite.session"), "--module", "M4",
       "--chain", "2,3"], 3),
     (["gamma", sess("s09_z_profinite.session"), "--module", "M4"], 3),  # no ideal
+    (["wpr", sess("s01_z_p2.session"), "--depth", "1"], 3),
+    (["idempotence", sess("s01_z_p2.session"), "--depth", "1"], 3),
+    (["wpr", sess("s01_z_p2.session"), "--depth", "4", "--window", "4"], 3),
+    (["completion-tower", sess("s01_z_p2.session"), "--module", "M12",
+      "--depth", "0"], 3),
+    (["stability", sess("s13_z_p3.session"), "--depth", "-1"], 3),
+    (["koszul", sess("s08_qx.session"), "--depth", "0"], 3),
 ]
 
 
@@ -138,10 +146,54 @@ def test_budget_exit_code(tmp_path):
     assert json.loads(out)["exit_status"] == 4
 
 
+def golden_report(name):
+    with open(os.path.join(GOLDEN, name + ".json"), encoding="utf-8") as fh:
+        return fh.read()
+
+
 def test_reports_byte_identical_across_runs():
-    for argv, _ in GOLDEN_RUNS[:18]:
-        outs = {run_cli(argv)[1] for _ in range(3)}
-        assert len(outs) == 1, argv
+    for i, (argv, _) in enumerate(GOLDEN_RUNS[:18]):
+        outs = [run_cli(argv)[1] for _ in range(3)]
+        assert len(set(outs)) == 1, argv
+        assert outs[0] == golden_report(f"run_{i:02d}"), argv
+
+
+# more towers over Q[x, y] and Q[x], pinned byte for byte
+PINNED_RUNS = [
+    ("mgm_s03_Mxy", ["mgm-check", sess("s03_q_xy.session"), "--module", "Mxy",
+                     "--depth", "4"]),
+    ("mgm_s08_A", ["mgm-check", sess("s08_qx.session"), "--module", "A",
+                   "--depth", "4"]),
+    ("mgm_s08_Ax3", ["mgm-check", sess("s08_qx.session"), "--module", "Ax3",
+                     "--depth", "4"]),
+    ("lc_ext_s03_Mxy_p0", ["lc-tower", sess("s03_q_xy.session"), "--module", "Mxy",
+                           "--depth", "4", "--model", "ext", "--degree", "0"]),
+    ("lc_ext_s03_Mxy_p1", ["lc-tower", sess("s03_q_xy.session"), "--module", "Mxy",
+                           "--depth", "4", "--model", "ext", "--degree", "1"]),
+    ("lc_ext_s03_Mxy_p2", ["lc-tower", sess("s03_q_xy.session"), "--module", "Mxy",
+                           "--depth", "4", "--model", "ext", "--degree", "2"]),
+    ("lc_koszul_s03_Mxy_p2", ["lc-tower", sess("s03_q_xy.session"), "--module", "Mxy",
+                              "--depth", "4", "--model", "koszul", "--degree", "2"]),
+    ("lc_ext_s08_Ax3_p0", ["lc-tower", sess("s08_qx.session"), "--module", "Ax3",
+                           "--depth", "4", "--model", "ext", "--degree", "0"]),
+    ("lc_koszul_s08_Ax3_p0", ["lc-tower", sess("s08_qx.session"), "--module", "Ax3",
+                              "--depth", "4", "--model", "koszul", "--degree", "0"]),
+    ("completion_s03_Mxy", ["completion-tower", sess("s03_q_xy.session"),
+                            "--depth", "3"]),
+    ("completion_s08_Ax3", ["completion-tower", sess("s08_qx.session"),
+                            "--module", "Ax3", "--depth", "3"]),
+    ("gamma_s03_Mxy", ["gamma", sess("s03_q_xy.session")]),
+    ("gamma_s08_Ax3", ["gamma", sess("s08_qx.session"), "--module", "Ax3"]),
+    ("idempotence_s03", ["idempotence", sess("s03_q_xy.session")]),
+    ("idempotence_s08", ["idempotence", sess("s08_qx.session")]),
+]
+
+
+@pytest.mark.parametrize("name,argv", PINNED_RUNS, ids=[n for n, _ in PINNED_RUNS])
+def test_report_matches_golden_file(name, argv):
+    code, out = run_cli(argv)
+    assert code in (0, 2), out
+    assert out == golden_report(name)
 
 
 def test_report_shapes_wpr():
