@@ -12,6 +12,16 @@ S-pairs restricted to equal leading positions; it optionally records, for
 every S-pair reduction to zero, the corresponding syzygy -- that set of
 syzygies is a Groebner basis of the syzygy module with respect to the
 Schreyer order induced by the input (the fact powering free resolutions).
+
+Both Buchberger loops skip S-pairs by the chain criterion (Buchberger 1979;
+Cox-Little-O'Shea, *Ideals, Varieties, and Algorithms*, Ch. 2 Sec. 10): a
+popped pair ``(i, j)`` is redundant when another element ``k`` with a lead
+in the same position divides the pair's lcm and neither ``(i, k)`` nor
+``(j, k)`` is still on the heap.  The ideal layer also keeps the product
+criterion (coprime leads), which does not hold for vectors of a free module.
+The module layer prunes only when no syzygies are requested: a Schreyer
+resolution needs the syzygy of every S-pair, both for the Groebner property
+under the Schreyer order and for its length bound.
 ``syzygies_of_columns`` computes relations among arbitrary generators by the
 graph (elimination block) method, which also yields division coefficients
 for exact solving via ``GraphBasis``.
@@ -100,6 +110,20 @@ def _interreduce(ring: PolyRing, basis):
     return kept
 
 
+def _chain_criterion(i: int, j: int, l: tuple, candidates, pending) -> bool:
+    """Buchberger's chain criterion for the pair ``(i, j)``, ``i < j``, whose
+    leads have lcm ``l``: the pair is redundant when some other ``k`` among
+    ``candidates`` (``(index, lead exponent)`` with the same lead position)
+    has a lead dividing ``l`` and neither ``(i, k)`` nor ``(j, k)`` is still
+    ``pending``."""
+    for k, lexp in candidates:
+        if k != i and k != j and mono_divides(lexp, l) \
+                and (min(i, k), max(i, k)) not in pending \
+                and (min(j, k), max(j, k)) not in pending:
+            return True
+    return False
+
+
 def groebner_basis(gens, order=None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
@@ -123,24 +147,31 @@ def groebner_basis(gens, order=None) -> GroebnerBasis:
         if not r.is_zero():
             basis.append(r)
 
+    lead_exps = [(k, g.lead_exp()) for k, g in enumerate(basis)]
+
     def pair_entry(i, j):
-        l = mono_lcm(basis[i].lead_exp(), basis[j].lead_exp())
+        l = mono_lcm(lead_exps[i][1], lead_exps[j][1])
         return (mono_deg(l), l, i, j)
 
     heap = [pair_entry(i, j)
             for i in range(len(basis)) for j in range(i + 1, len(basis))]
     heapq.heapify(heap)
+    pending = {(i, j) for _, _, i, j in heap}
     while heap:
         _, l, i, j = heapq.heappop(heap)
-        fi, fj = basis[i], basis[j]
-        if l == mono_mul(fi.lead_exp(), fj.lead_exp()):
+        pending.discard((i, j))
+        if l == mono_mul(lead_exps[i][1], lead_exps[j][1]):
             continue  # coprime leading terms: S-poly reduces to zero
-        r = _reduce_poly(ring, _spoly(ring, fi, fj), basis)
+        if _chain_criterion(i, j, l, lead_exps, pending):
+            continue
+        r = _reduce_poly(ring, _spoly(ring, basis[i], basis[j]), basis)
         if not r.is_zero():
+            k = len(basis)
             basis.append(r)
-            k = len(basis) - 1
+            lead_exps.append((k, r.lead_exp()))
             for t in range(k):
                 heapq.heappush(heap, pair_entry(t, k))
+                pending.add((t, k))
     return GroebnerBasis(ring, _interreduce(ring, basis))
 
 
@@ -312,6 +343,9 @@ def module_groebner(ring: PolyRing, vectors, order: ModuleOrder,
     leads = [vec_lead(order, v) for v in basis]
     reducer = _Reducer(ring, order, basis, leads)
     syzygies = []
+    by_position = {}  # lead position -> [(index, lead exponent)]
+    for k, (pos, exp) in enumerate(leads):
+        by_position.setdefault(pos, []).append((k, exp))
 
     def pair_entry(i, j):
         l = mono_lcm(leads[i][1], leads[j][1])
@@ -321,10 +355,14 @@ def module_groebner(ring: PolyRing, vectors, order: ModuleOrder,
             for i in range(len(basis)) for j in range(i + 1, len(basis))
             if leads[i][0] == leads[j][0]]
     heapq.heapify(heap)
+    pending = {(i, j) for _, _, i, j in heap}
     while heap:
-        _, _, i, j = heapq.heappop(heap)
+        _, l, i, j = heapq.heappop(heap)
+        pending.discard((i, j))
         li, lj = leads[i], leads[j]
-        l = mono_lcm(li[1], lj[1])
+        if not want_syzygies and _chain_criterion(i, j, l, by_position[li[0]],
+                                                  pending):
+            continue
         mi, mj = mono_div(l, li[1]), mono_div(l, lj[1])
         ci = field.inv(basis[i][li])
         cj = field.inv(basis[j][lj])
@@ -334,12 +372,15 @@ def module_groebner(ring: PolyRing, vectors, order: ModuleOrder,
         record = {}
         residue = reducer.reduce(s, record)
         if residue:
+            k = len(basis)
+            pos, exp = lead = vec_lead(order, residue)
             basis.append(residue)
-            leads.append(vec_lead(order, residue))
-            k = len(basis) - 1
-            for t in range(k):
-                if leads[t][0] == leads[k][0]:
-                    heapq.heappush(heap, pair_entry(t, k))
+            leads.append(lead)
+            same = by_position.setdefault(pos, [])
+            for t, _ in same:
+                heapq.heappush(heap, pair_entry(t, k))
+                pending.add((t, k))
+            same.append((k, exp))
         elif want_syzygies:
             syz = {(i, mi): ci}
             syz = vec_add(field, syz, {(j, mj): field.neg(cj)})

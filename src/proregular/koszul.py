@@ -239,28 +239,27 @@ def copointed_idempotence_check(a: IdealSpec, depth: int = 4, window: int = 1,
         tr = dual_koszul_transition(a, i, i + 1, source=duals[i - 1], target=duals[i])
         dual_trs.append(tr)
         square_trs.append(tensor_complex_morphisms(tr, tr, squares[i - 1], squares[i]))
-    per_side = {}
+    counits = {side: [_counit_map(duals[i], squares[i], ring, side)
+                      for i in range(depth)]
+               for side in ("left", "right")}
+    per_side = {"left": {}, "right": {}}
     ok = True
-    for side in ("left", "right"):
-        counits = [_counit_map(duals[i], squares[i], ring, side)
-                   for i in range(depth)]
-        per_degree = {}
-        for p in range(0, 2 * n + 1):
-            src_objs = [cohomology(squares[i], p) for i in range(depth)]
-            tgt_objs = [cohomology(duals[i], p) for i in range(depth)]
-            src_trans = [induced_cohomology_map(square_trs[i], p, check=False)
-                         for i in range(depth - 1)]
-            tgt_trans = [induced_cohomology_map(dual_trs[i], p, check=False)
-                         for i in range(depth - 1)]
-            src_sys = IndSystem(src_objs, src_trans, check=False)
-            tgt_sys = IndSystem(tgt_objs, tgt_trans, check=False)
-            level_maps = [induced_cohomology_map(counits[i], p, check=False)
+    for p in range(0, 2 * n + 1):
+        src_sys = IndSystem(
+            [cohomology(squares[i], p) for i in range(depth)],
+            [induced_cohomology_map(square_trs[i], p, check=False)
+             for i in range(depth - 1)], check=False)
+        tgt_sys = IndSystem(
+            [cohomology(duals[i], p) for i in range(depth)],
+            [induced_cohomology_map(dual_trs[i], p, check=False)
+             for i in range(depth - 1)], check=False)
+        for side in ("left", "right"):
+            level_maps = [induced_cohomology_map(counits[side][i], p, check=False)
                           for i in range(depth)]
             fmap = SystemMap(src_sys, tgt_sys, level_maps, check=True)
             verdict = tower_equivalence(fmap, window)
-            per_degree[p] = verdict
+            per_side[side][p] = verdict
             ok = ok and verdict.passed
-        per_side[side] = per_degree
     return CopointedIdempotenceReport(ideal=a, depth=depth, window=window,
                                       per_side=per_side,
                                       status="pass" if ok else "undetermined")

@@ -138,13 +138,13 @@ def ext_torsion_tower(m: FpModule, a: IdealSpec, p: int, depth: int,
     return _ext_tower(m, quotients, p, max_length)[0]
 
 
-def koszul_torsion_tower(m: FpModule, a: IdealSpec, p: int,
-                         depth: int) -> IndSystem:
-    """``{H^p(Kdual(A; a^i) (x) M)}_{i <= depth}`` with dual transitions."""
+def _koszul_tower(mcx, a: IdealSpec, p: int, depth: int):
+    """``(stages, system)``: the stage complexes ``Kdual(A; a^i) (x) M`` for
+    ``i <= depth``, ``M`` given as the complex ``mcx``, and their ``H^p``
+    ind-system with the dual transitions."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     duals = [dual_koszul(a, i) for i in range(1, depth + 1)]
-    mcx = module_complex(m)
     stages = [tensor_complexes(d, mcx) for d in duals]
     objects = [cohomology(s, p) for s in stages]
     id_m = identity_complex_morphism(mcx)
@@ -154,7 +154,13 @@ def koszul_torsion_tower(m: FpModule, a: IdealSpec, p: int,
                                     source=duals[i], target=duals[i + 1])
         big = tensor_complex_morphisms(tr, id_m, stages[i], stages[i + 1])
         transitions.append(induced_cohomology_map(big, p, check=False))
-    return IndSystem(objects, transitions, check=False)
+    return stages, IndSystem(objects, transitions, check=False)
+
+
+def koszul_torsion_tower(m: FpModule, a: IdealSpec, p: int,
+                         depth: int) -> IndSystem:
+    """``{H^p(Kdual(A; a^i) (x) M)}_{i <= depth}`` with dual transitions."""
+    return _koszul_tower(module_complex(m), a, p, depth)[1]
 
 
 def stabilized_koszul_level_zero(m: FpModule, a: IdealSpec,
@@ -182,11 +188,9 @@ def ext_koszul_comparison(m: FpModule, a: IdealSpec, p: int, depth: int,
     mcx = module_complex(m)
     quotients = [quotient_by_sequence(a, i) for i in range(1, depth + 1)]
     ext_sys, resolutions, homs = _ext_tower(m, quotients, p, None)
-    kos_sys = koszul_torsion_tower(m, a, p, depth)
+    stages, kos_sys = _koszul_tower(mcx, a, p, depth)
 
     # comparison chain maps K(A; a^i) -> F_i lifting the identity of A/(a^i)
-    duals = [dual_koszul(a, i) for i in range(1, depth + 1)]
-    stages = [tensor_complexes(d, mcx) for d in duals]
     level_maps = []
     for i in range(depth):
         k = koszul_complex(a, i + 1)

@@ -128,6 +128,22 @@ def test_ext_koszul_comparison_z2():
     assert verdict.passed
 
 
+def test_ext_koszul_comparison_builds_each_dual_stage_once(monkeypatch):
+    import proregular.torsion as torsion
+    real = torsion.dual_koszul
+    calls = []
+
+    def counting(a, i):
+        calls.append(i)
+        return real(a, i)
+
+    monkeypatch.setattr(torsion, "dual_koszul", counting)
+    verdict = ext_koszul_comparison(free_module(ZZ, 1), IdealSpec.make(ZZ, [2]),
+                                    1, 4)
+    assert verdict.passed
+    assert sorted(calls) == [1, 2, 3, 4]
+
+
 def test_cech_terms_are_torsion():
     # every H^p(Kdual (x) M) is annihilated by an ideal power
     from proregular.koszul import dual_koszul
