@@ -279,12 +279,18 @@ def columns_to_vectors(ring: PolyRing, cols) -> list:
 
 
 def vectors_to_columns(ring: PolyRing, vecs, nrows: int) -> list:
+    """Convert sparse module vectors to matrix columns (lists of Poly).
+
+    A vector's keys are distinct and its coefficients nonzero, so each
+    entry's terms are sorted once, with no accumulation."""
+    key = ring.order.key
     cols = []
     for v in vecs:
-        col = [dict() for _ in range(nrows)]
+        col = [[] for _ in range(nrows)]
         for (pos, e), c in v.items():
-            col[pos][e] = c
-        cols.append([ring.from_terms(d.items()) for d in col])
+            col[pos].append((e, c))
+        cols.append([Poly(ring, sorted(terms, key=lambda t: key(t[0]), reverse=True))
+                     for terms in col])
     return cols
 
 

@@ -145,6 +145,8 @@ class PolyRing:
         self.variables = variables
         self.nvars = len(variables)
         self.order = order if isinstance(order, MonomialOrder) else MonomialOrder(order)
+        self._zero = Poly(self, ())
+        self._one = Poly(self, (((0,) * self.nvars, field.one()),))
 
     # -- construction -----------------------------------------------------
 
@@ -161,10 +163,10 @@ class PolyRing:
         return Poly(self, terms)
 
     def zero(self) -> Poly:
-        return Poly(self, ())
+        return self._zero
 
     def one(self) -> Poly:
-        return self.from_terms([((0,) * self.nvars, self.field.one())])
+        return self._one
 
     def coerce(self, x) -> Poly:
         if isinstance(x, Poly):
@@ -270,8 +272,9 @@ class PolyRing:
         return _parse_poly(self, text)
 
     def __eq__(self, other):
-        return (isinstance(other, PolyRing) and other.field == self.field
-                and other.variables == self.variables and other.order == self.order)
+        return other is self or (
+            isinstance(other, PolyRing) and other.field == self.field
+            and other.variables == self.variables and other.order == self.order)
 
     def __hash__(self):
         return hash((self.field, self.variables, self.order))

@@ -15,6 +15,11 @@ every module computation reduces to:
 Quotient rings ``A/I`` reuse the polynomial engine: elements are stored as
 normal forms modulo a cached Groebner basis of ``I``, and all matrix
 services augment with the ideal block.
+
+``ring_matmul`` is a sparse product: it multiplies only structurally
+nonzero entries (``0`` over Z, a term-free ``Poly`` otherwise), so the
+mostly-zero Hom and tensor matrices cost one ``mul`` per pair of nonzero
+entries, and no zero entry is put through a quotient ring's normal form.
 """
 
 from __future__ import annotations
@@ -69,12 +74,12 @@ class _PolySpanOracle:
 
     def syzygy_columns(self):
         full = self.graph.syzygy_columns()
-        seen = []
+        seen = {}
         for col in full:
             proj = col[: self.ncols]
-            if any(not p.is_zero() for p in proj) and proj not in seen:
-                seen.append(proj)
-        return seen
+            if any(not p.is_zero() for p in proj):
+                seen.setdefault(tuple(proj), proj)
+        return list(seen.values())
 
 
 class IntegerRing:
@@ -378,17 +383,30 @@ def quotient_ring(base: PolynomialRing, ideal_generators) -> QuotientRing:
 
 
 def ring_matmul(ring, a: Mat, b: Mat) -> Mat:
+    """The product ``a * b``, computed row by row over nonzero entries only.
+
+    Gustavson's sparse product (Gustavson 1978): each row of ``b`` is turned
+    once into its nonzero ``(j, entry)`` pairs; each row of ``a`` visits its
+    nonzero entries in ascending ``k`` and accumulates ``a[i][k] * b[k][j]``
+    into a per-row dict.  The zero test is structural (``0`` over Z, a
+    ``Poly`` without terms otherwise) and never a normal form, so a zero
+    entry is never multiplied and a quotient ring normalizes only products
+    and sums of nonzero entries.  Entries with no product are ``ring.zero()``.
+    """
     if a.ncols != b.nrows:
         raise RingError("shape mismatch in ring matmul")
+    nonzero = bool if isinstance(ring, IntegerRing) else (lambda p: bool(p.terms))
+    b_rows = [[(j, y) for j, y in enumerate(row) if nonzero(y)] for row in b.rows]
+    mul, add, zero = ring.mul, ring.add, ring.zero()
     rows = []
-    for i in range(a.nrows):
-        row = []
-        for j in range(b.ncols):
-            acc = ring.zero()
-            for k in range(a.ncols):
-                acc = ring.add(acc, ring.mul(a.entry(i, k), b.entry(k, j)))
-            row.append(acc)
-        rows.append(tuple(row))
+    for row in a.rows:
+        acc = {}
+        for k, x in enumerate(row):
+            if nonzero(x):
+                for j, y in b_rows[k]:
+                    p = mul(x, y)
+                    acc[j] = add(acc[j], p) if j in acc else p
+        rows.append(tuple(acc.get(j, zero) for j in range(b.ncols)))
     return Mat(a.nrows, b.ncols, tuple(rows))
 
 
