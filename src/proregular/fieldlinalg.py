@@ -1,15 +1,12 @@
-"""Exact linear algebra over the rationals and prime fields.
+"""The coefficient fields: the rationals and prime fields.
 
-A field is a small arithmetic object (``RationalField`` or ``PrimeField``);
-matrices are the shared ``Mat`` container with entries owned by the field
-(``Fraction`` for Q, ints in ``[0, p)`` for F_p).
+A field is a small arithmetic object (``RationalField`` or ``PrimeField``)
+whose elements are ``Fraction`` values for Q and ints in ``[0, p)`` for F_p.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-from .intlinalg import Mat
 
 
 def is_prime(p: int) -> bool:
@@ -129,30 +126,3 @@ class PrimeField:
 
     def __repr__(self):
         return f"F{self.p}"
-
-
-def rref(field, m: Mat):
-    """Reduced row echelon form; returns ``(R, pivots)``."""
-    a = [[field.coerce(x) for x in r] for r in m.rows]
-    pivots = []
-    prow = 0
-    for col in range(m.ncols):
-        if prow >= m.nrows:
-            break
-        r0 = next((r for r in range(prow, m.nrows) if not field.is_zero(a[r][col])), None)
-        if r0 is None:
-            continue
-        a[prow], a[r0] = a[r0], a[prow]
-        inv = field.inv(a[prow][col])
-        a[prow] = [field.mul(inv, x) for x in a[prow]]
-        for r in range(m.nrows):
-            if r != prow and not field.is_zero(a[r][col]):
-                f = a[r][col]
-                a[r] = [field.sub(x, field.mul(f, y)) for x, y in zip(a[r], a[prow])]
-        pivots.append(col)
-        prow += 1
-    return Mat.from_rows(a) if a else m, pivots
-
-
-def rank(field, m: Mat) -> int:
-    return len(rref(field, m)[1])

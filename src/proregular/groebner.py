@@ -1,27 +1,28 @@
-"""Buchberger's algorithm for ideals and submodules of free modules.
+"""Buchberger's algorithm for submodules of free modules, ideals included.
 
-Two layers live here.
+Elements of a free module ``A^r`` are sparse dicts
+``{(position, exponent): coeff}``.  There is one engine: ``module_groebner``
+is the only Buchberger loop, ``_Reducer.reduce`` the only reduction loop and
+``reduced_module_groebner`` the only inter-reduction.  S-pairs are restricted
+to equal leading positions; the loop optionally records, for every S-pair
+reduction to zero, the corresponding syzygy -- that set of syzygies is a
+Groebner basis of the syzygy module with respect to the Schreyer order
+induced by the input (the fact powering free resolutions).
 
-Ideal layer: ``groebner_basis`` computes the unique reduced basis of an
-ideal of a ``PolyRing``; ``normal_form`` is the confluent remainder, so
-membership is ``normal_form(f, G).is_zero()``.
+An ideal of a ``PolyRing`` is a submodule of ``A^1`` (Eisenbud, *Commutative
+Algebra*, Sec. 15.4): ``groebner_basis`` is its reduced rank-1 basis under
+``TopOrder``, and ``normal_form`` is the confluent remainder by a rank-1
+``_Reducer``, so membership is ``normal_form(f, G).is_zero()``.
 
-Module layer: elements of a free module ``A^r`` are sparse dicts
-``{(position, exponent): coeff}``.  ``module_groebner`` runs Buchberger with
-S-pairs restricted to equal leading positions; it optionally records, for
-every S-pair reduction to zero, the corresponding syzygy -- that set of
-syzygies is a Groebner basis of the syzygy module with respect to the
-Schreyer order induced by the input (the fact powering free resolutions).
-
-Both Buchberger loops skip S-pairs by the chain criterion (Buchberger 1979;
+The loop skips S-pairs by the chain criterion (Buchberger 1979;
 Cox-Little-O'Shea, *Ideals, Varieties, and Algorithms*, Ch. 2 Sec. 10): a
 popped pair ``(i, j)`` is redundant when another element ``k`` with a lead
 in the same position divides the pair's lcm and neither ``(i, k)`` nor
-``(j, k)`` is still on the heap.  The ideal layer also keeps the product
-criterion (coprime leads), which does not hold for vectors of a free module.
-The module layer prunes only when no syzygies are requested: a Schreyer
-resolution needs the syzygy of every S-pair, both for the Groebner property
-under the Schreyer order and for its length bound.
+``(j, k)`` is still on the heap.  There is no product criterion (coprime
+leads): it does not hold for vectors of a free module.  Pruning is off when
+syzygies are requested: a Schreyer resolution needs the syzygy of every
+S-pair, both for the Groebner property under the Schreyer order and for its
+length bound.
 ``syzygies_of_columns`` computes relations among arbitrary generators by the
 graph (elimination block) method, which also yields division coefficients
 for exact solving via ``GraphBasis``.
@@ -36,155 +37,6 @@ import heapq
 
 from .poly import (Poly, PolyRing, mono_deg, mono_div, mono_divides, mono_lcm,
                    mono_mul)
-
-# ---------------------------------------------------------------------------
-# ideal layer
-
-
-class GroebnerBasis:
-    """Reduced Groebner basis: monic generators, fully inter-reduced."""
-
-    __slots__ = ("ring", "polys")
-
-    def __init__(self, ring: PolyRing, polys):
-        self.ring = ring
-        self.polys = tuple(polys)
-
-    def __iter__(self):
-        return iter(self.polys)
-
-    def __len__(self):
-        return len(self.polys)
-
-    def __repr__(self):
-        return "{" + ", ".join(self.ring.to_str(p) for p in self.polys) + "}"
-
-
-def _reduce_poly(ring: PolyRing, f: Poly, basis) -> Poly:
-    """Full normal form of ``f`` modulo ``basis``."""
-    field = ring.field
-    work = dict(f.terms)
-    out = {}
-    while work:
-        exp = max(work, key=ring.order.key)
-        coeff = work.pop(exp)
-        if field.is_zero(coeff):
-            continue
-        red = next((g for g in basis if mono_divides(g.lead_exp(), exp)), None)
-        if red is None:
-            out[exp] = coeff
-            continue
-        q = mono_div(exp, red.lead_exp())
-        factor = field.mul(coeff, field.inv(red.lead_coeff()))
-        for e, c in red.terms[1:]:
-            e2 = mono_mul(e, q)
-            c1 = field.sub(work.get(e2, field.zero()), field.mul(factor, c))
-            if field.is_zero(c1):
-                work.pop(e2, None)
-            else:
-                work[e2] = c1
-    return ring.from_terms(out.items())
-
-
-def _spoly(ring: PolyRing, f: Poly, g: Poly) -> Poly:
-    field = ring.field
-    l = mono_lcm(f.lead_exp(), g.lead_exp())
-    a = ring.mul_term(f, mono_div(l, f.lead_exp()), field.inv(f.lead_coeff()))
-    b = ring.mul_term(g, mono_div(l, g.lead_exp()), field.inv(g.lead_coeff()))
-    return ring.sub(a, b)
-
-
-def _interreduce(ring: PolyRing, basis):
-    field = ring.field
-    basis = sorted((p for p in basis if not p.is_zero()),
-                   key=lambda p: ring.order.key(p.lead_exp()))
-    kept = []
-    for p in basis:
-        if not any(mono_divides(q.lead_exp(), p.lead_exp()) for q in kept):
-            kept.append(p)
-    for idx in range(len(kept)):
-        others = kept[:idx] + kept[idx + 1:]
-        r = _reduce_poly(ring, kept[idx], others)
-        kept[idx] = ring.scale(r, field.inv(r.lead_coeff()))
-    kept.sort(key=lambda p: ring.order.key(p.lead_exp()), reverse=True)
-    return kept
-
-
-def _chain_criterion(i: int, j: int, l: tuple, candidates, pending) -> bool:
-    """Buchberger's chain criterion for the pair ``(i, j)``, ``i < j``, whose
-    leads have lcm ``l``: the pair is redundant when some other ``k`` among
-    ``candidates`` (``(index, lead exponent)`` with the same lead position)
-    has a lead dividing ``l`` and neither ``(i, k)`` nor ``(j, k)`` is still
-    ``pending``."""
-    for k, lexp in candidates:
-        if k != i and k != j and mono_divides(lexp, l) \
-                and (min(i, k), max(i, k)) not in pending \
-                and (min(j, k), max(j, k)) not in pending:
-            return True
-    return False
-
-
-def groebner_basis(gens, order=None) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by ``gens``.
-
-    ``order`` may override the ring's order (the basis lives in a ring view
-    carrying that order).
-    """
-    gens = list(gens)
-    if not gens:
-        raise ValueError("need at least one generator")
-    ring = gens[0].ring
-    for g in gens:
-        if g.ring != ring:
-            raise ValueError("mixed rings in groebner_basis")
-    if order is not None and order != ring.order:
-        ring = PolyRing(ring.field, ring.variables, order)
-        gens = [ring.from_terms(g.terms) for g in gens]
-
-    basis = []
-    for g in sorted(gens, key=lambda p: ring.order.key(p.lead_exp()) if not p.is_zero() else ()):
-        r = _reduce_poly(ring, g, basis)
-        if not r.is_zero():
-            basis.append(r)
-
-    lead_exps = [(k, g.lead_exp()) for k, g in enumerate(basis)]
-
-    def pair_entry(i, j):
-        l = mono_lcm(lead_exps[i][1], lead_exps[j][1])
-        return (mono_deg(l), l, i, j)
-
-    heap = [pair_entry(i, j)
-            for i in range(len(basis)) for j in range(i + 1, len(basis))]
-    heapq.heapify(heap)
-    pending = {(i, j) for _, _, i, j in heap}
-    while heap:
-        _, l, i, j = heapq.heappop(heap)
-        pending.discard((i, j))
-        if l == mono_mul(lead_exps[i][1], lead_exps[j][1]):
-            continue  # coprime leading terms: S-poly reduces to zero
-        if _chain_criterion(i, j, l, lead_exps, pending):
-            continue
-        r = _reduce_poly(ring, _spoly(ring, basis[i], basis[j]), basis)
-        if not r.is_zero():
-            k = len(basis)
-            basis.append(r)
-            lead_exps.append((k, r.lead_exp()))
-            for t in range(k):
-                heapq.heappush(heap, pair_entry(t, k))
-                pending.add((t, k))
-    return GroebnerBasis(ring, _interreduce(ring, basis))
-
-
-def normal_form(f: Poly, gb: GroebnerBasis) -> Poly:
-    if f.ring.field != gb.ring.field or f.ring.variables != gb.ring.variables:
-        raise ValueError("polynomial/basis ring mismatch")
-    f2 = gb.ring.from_terms(f.terms)
-    return _reduce_poly(gb.ring, f2, list(gb.polys))
-
-
-def ideal_member(f: Poly, gb: GroebnerBasis) -> bool:
-    return normal_form(f, gb).is_zero()
-
 
 # ---------------------------------------------------------------------------
 # module layer
@@ -295,7 +147,7 @@ def vectors_to_columns(ring: PolyRing, vecs, nrows: int) -> list:
 
 
 class _Reducer:
-    """Shared full-reduction loop; optionally records division terms."""
+    """The full-reduction loop; optionally records division terms."""
 
     def __init__(self, ring: PolyRing, order: ModuleOrder, basis, leads):
         self.ring = ring
@@ -304,7 +156,10 @@ class _Reducer:
         self.leads = leads
 
     def reduce(self, v: dict, record: dict | None = None) -> dict:
+        """Remainder of ``v``, with its terms in descending order; each step
+        subtracts the scaled reducer from the work dict in place."""
         field = self.ring.field
+        zero = field.zero()
         work = dict(v)
         out = {}
         while work:
@@ -319,16 +174,36 @@ class _Reducer:
             if red is None:
                 out[m] = coeff
                 continue
-            g = self.basis[red]
-            q = mono_div(exp, self.leads[red][1])
-            factor = field.mul(coeff, field.inv(g[self.leads[red]]))
-            sub = vec_scale_term(field, g, q, factor)
-            sub.pop(m, None)
-            work = vec_add(field, work, vec_neg(field, sub))
+            g, lead = self.basis[red], self.leads[red]
+            q = mono_div(exp, lead[1])
+            factor = field.mul(coeff, field.inv(g[lead]))
+            for (gpos, e), c in g.items():
+                k = (gpos, mono_mul(e, q))
+                if k == m:
+                    continue
+                c1 = field.sub(work.get(k, zero), field.mul(c, factor))
+                if field.is_zero(c1):
+                    work.pop(k, None)
+                else:
+                    work[k] = c1
             if record is not None:
                 key = (red, q)
-                record[key] = field.add(record.get(key, field.zero()), factor)
+                record[key] = field.add(record.get(key, zero), factor)
         return out
+
+
+def _chain_criterion(i: int, j: int, l: tuple, candidates, pending) -> bool:
+    """Buchberger's chain criterion for the pair ``(i, j)``, ``i < j``, whose
+    leads have lcm ``l``: the pair is redundant when some other ``k`` among
+    ``candidates`` (``(index, lead exponent)`` with the same lead position)
+    has a lead dividing ``l`` and neither ``(i, k)`` nor ``(j, k)`` is still
+    ``pending``."""
+    for k, lexp in candidates:
+        if k != i and k != j and mono_divides(lexp, l) \
+                and (min(i, k), max(i, k)) not in pending \
+                and (min(j, k), max(j, k)) not in pending:
+            return True
+    return False
 
 
 def module_groebner(ring: PolyRing, vectors, order: ModuleOrder,
@@ -432,6 +307,60 @@ def reduced_module_groebner(ring: PolyRing, vectors, order: ModuleOrder):
 
 
 # ---------------------------------------------------------------------------
+# ideals: the rank-1 case
+
+
+class GroebnerBasis:
+    """Reduced Groebner basis of an ideal: monic generators, fully
+    inter-reduced, sorted by descending lead."""
+
+    __slots__ = ("ring", "polys", "_reducer")
+
+    def __init__(self, ring: PolyRing, polys):
+        self.ring = ring
+        self.polys = tuple(polys)
+        vecs = columns_to_vectors(ring, [[p] for p in self.polys])
+        self._reducer = _Reducer(ring, TopOrder(ring.order), vecs,
+                                 [(0, p.lead_exp()) for p in self.polys])
+
+    def __iter__(self):
+        return iter(self.polys)
+
+    def __len__(self):
+        return len(self.polys)
+
+    def __repr__(self):
+        return "{" + ", ".join(self.ring.to_str(p) for p in self.polys) + "}"
+
+
+def groebner_basis(gens) -> GroebnerBasis:
+    """Reduced Groebner basis of the ideal generated by ``gens``."""
+    gens = list(gens)
+    if not gens:
+        raise ValueError("need at least one generator")
+    ring = gens[0].ring
+    for g in gens:
+        if g.ring != ring:
+            raise ValueError("mixed rings in groebner_basis")
+    vecs = reduced_module_groebner(ring, columns_to_vectors(ring, [[g] for g in gens]),
+                                   TopOrder(ring.order))
+    return GroebnerBasis(ring, [col[0] for col in vectors_to_columns(ring, vecs, 1)])
+
+
+def normal_form(f: Poly, gb: GroebnerBasis) -> Poly:
+    """Remainder of ``f`` by ``gb``; the reducer emits terms in descending
+    order, so they form the ``Poly`` as they are."""
+    if f.ring != gb.ring:
+        raise ValueError("polynomial/basis ring mismatch")
+    out = gb._reducer.reduce({(0, e): c for e, c in f.terms})
+    return Poly(gb.ring, [(e, c) for (_, e), c in out.items()])
+
+
+def ideal_member(f: Poly, gb: GroebnerBasis) -> bool:
+    return normal_form(f, gb).is_zero()
+
+
+# ---------------------------------------------------------------------------
 # syzygies and solving by the graph method
 
 
@@ -456,41 +385,26 @@ class GraphBasis:
             graph.append(g)
         self.order = ElimOrder(ring.order, nrows)
         self.basis, _ = module_groebner(ring, graph, self.order)
-        self.leads = [vec_lead(self.order, b) for b in self.basis]
+        leads = [vec_lead(self.order, b) for b in self.basis]
+        first = [t for t, (pos, _) in enumerate(leads) if pos < nrows]
+        self._reducer = _Reducer(ring, self.order, [self.basis[t] for t in first],
+                                 [leads[t] for t in first])
 
     def _reduce_tracking(self, target_col):
-        """Reduce ``target (+) 0``; returns ``(first_block_residue, cofactor)``."""
-        ring, field = self.ring, self.ring.field
-        v = columns_to_vectors(ring, [list(target_col)])[0]
-        work = dict(v)
+        """Reduce ``target (+) 0``; returns ``(first_block_residue, cofactor)``.
+
+        Under the elimination order a lead in the second block has no first
+        block left to reduce, so the remainder splits into the first-block
+        residue and the negated cofactor."""
+        field = self.ring.field
+        v = columns_to_vectors(self.ring, [list(target_col)])[0]
         first = {}
         cof = {}
-        while work:
-            m = vec_lead(self.order, work)
-            coeff = work.pop(m)
-            pos, exp = m
-            if pos >= self.nrows:
-                key = (pos - self.nrows, exp)
-                c1 = field.add(cof.get(key, field.zero()), field.neg(coeff))
-                if field.is_zero(c1):
-                    cof.pop(key, None)
-                else:
-                    cof[key] = c1
-                continue
-            red = None
-            for t, (lpos, lexp) in enumerate(self.leads):
-                if lpos == pos and mono_divides(lexp, exp):
-                    red = t
-                    break
-            if red is None:
-                first[m] = coeff
-                continue
-            g = self.basis[red]
-            q = mono_div(exp, self.leads[red][1])
-            factor = field.mul(coeff, field.inv(g[self.leads[red]]))
-            sub = vec_scale_term(field, g, q, factor)
-            sub.pop(m, None)
-            work = vec_add(field, work, vec_neg(field, sub))
+        for (pos, exp), c in self._reducer.reduce(v).items():
+            if pos < self.nrows:
+                first[(pos, exp)] = c
+            else:
+                cof[(pos - self.nrows, exp)] = field.neg(c)
         return first, cof
 
     def member(self, target_col) -> bool:

@@ -332,6 +332,8 @@ def _parse_poly(ring: PolyRing, text: str) -> Poly:
 
     def take():
         nonlocal pos
+        if pos == len(toks):
+            raise PolyParseError("unexpected end of polynomial")
         t = toks[pos]
         pos += 1
         return t
@@ -348,7 +350,11 @@ def _parse_poly(ring: PolyRing, text: str) -> Poly:
                 den = take()
                 if not isinstance(den, int):
                     raise PolyParseError("expected integer denominator")
-                coeff = ring.field.coerce(Fraction(num, den))
+                try:
+                    coeff = ring.field.coerce(Fraction(num, den))
+                except ZeroDivisionError:
+                    raise PolyParseError(
+                        f"{num}/{den} is not an element of {ring.field}") from None
             else:
                 coeff = ring.field.coerce(num)
             return ring.from_terms([((0,) * ring.nvars, coeff)])

@@ -1,0 +1,73 @@
+"""Reference algorithms that tests use as oracles, independent of the engine.
+
+``_reduce_poly`` and ``_spoly`` are a textbook polynomial division and
+S-polynomial, written without the module layer's ``_Reducer``; ``rref`` and
+``rank`` are Gaussian elimination over a field.  Nothing under ``src/``
+uses them.
+"""
+
+from __future__ import annotations
+
+from proregular.intlinalg import Mat
+from proregular.poly import Poly, PolyRing, mono_div, mono_divides, mono_lcm, mono_mul
+
+
+def _reduce_poly(ring: PolyRing, f: Poly, basis) -> Poly:
+    """Full normal form of ``f`` modulo ``basis``."""
+    field = ring.field
+    work = dict(f.terms)
+    out = {}
+    while work:
+        exp = max(work, key=ring.order.key)
+        coeff = work.pop(exp)
+        if field.is_zero(coeff):
+            continue
+        red = next((g for g in basis if mono_divides(g.lead_exp(), exp)), None)
+        if red is None:
+            out[exp] = coeff
+            continue
+        q = mono_div(exp, red.lead_exp())
+        factor = field.mul(coeff, field.inv(red.lead_coeff()))
+        for e, c in red.terms[1:]:
+            e2 = mono_mul(e, q)
+            c1 = field.sub(work.get(e2, field.zero()), field.mul(factor, c))
+            if field.is_zero(c1):
+                work.pop(e2, None)
+            else:
+                work[e2] = c1
+    return ring.from_terms(out.items())
+
+
+def _spoly(ring: PolyRing, f: Poly, g: Poly) -> Poly:
+    field = ring.field
+    l = mono_lcm(f.lead_exp(), g.lead_exp())
+    a = ring.mul_term(f, mono_div(l, f.lead_exp()), field.inv(f.lead_coeff()))
+    b = ring.mul_term(g, mono_div(l, g.lead_exp()), field.inv(g.lead_coeff()))
+    return ring.sub(a, b)
+
+
+def rref(field, m: Mat):
+    """Reduced row echelon form; returns ``(R, pivots)``."""
+    a = [[field.coerce(x) for x in r] for r in m.rows]
+    pivots = []
+    prow = 0
+    for col in range(m.ncols):
+        if prow >= m.nrows:
+            break
+        r0 = next((r for r in range(prow, m.nrows) if not field.is_zero(a[r][col])), None)
+        if r0 is None:
+            continue
+        a[prow], a[r0] = a[r0], a[prow]
+        inv = field.inv(a[prow][col])
+        a[prow] = [field.mul(inv, x) for x in a[prow]]
+        for r in range(m.nrows):
+            if r != prow and not field.is_zero(a[r][col]):
+                f = a[r][col]
+                a[r] = [field.sub(x, field.mul(f, y)) for x, y in zip(a[r], a[prow])]
+        pivots.append(col)
+        prow += 1
+    return Mat.from_rows(a) if a else m, pivots
+
+
+def rank(field, m: Mat) -> int:
+    return len(rref(field, m)[1])

@@ -19,7 +19,7 @@ from proregular.complexes import cohomology, tensor_complexes
 from proregular.fpmod import (FpModule, IdealSpec, direct_sum, free_module,
                               kernel as mod_kernel, cokernel as mod_cokernel,
                               minimized, quotient_module, submodules_equal)
-from proregular.groebner import _reduce_poly, _spoly, groebner_basis
+from proregular.groebner import groebner_basis
 from proregular.intlinalg import Mat, minors_gcd, smith_normal_form
 from proregular.koszul import (copointed_idempotence_check, dual_koszul,
                                koszul_complex, radical_invariance_suite,
@@ -34,6 +34,7 @@ from proregular.torsion import (ext_koszul_comparison, ext_torsion_tower,
                                 gamma, stabilized_koszul_level_zero)
 from proregular.zmodclass import (injective_torsion_acyclicity_test,
                                   weak_stability_check)
+from reference_algebra import _reduce_poly, _spoly
 
 ZZ = integers()
 SESSIONS = os.path.join(os.path.dirname(__file__), "..", "sessions")

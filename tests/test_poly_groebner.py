@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from proregular.fieldlinalg import PrimeField, RationalField, rank
+from proregular.fieldlinalg import PrimeField, RationalField
 from proregular.groebner import (GraphBasis, TopOrder, groebner_basis,
                                  ideal_member, normal_form,
                                  reduced_module_groebner, syzygies_of_columns,
-                                 columns_to_vectors, _spoly, _reduce_poly)
+                                 columns_to_vectors)
 from proregular.intlinalg import Mat
 from proregular.poly import MonomialOrder, PolyRing
+from reference_algebra import _reduce_poly, _spoly, rank
 
 
 @pytest.fixture

@@ -251,3 +251,21 @@ def test_timing_flag_adds_key():
     code, out = run_cli(["gamma", sess("s01_z_p2.session"), "--module", "M12",
                          "--timing"])
     assert "timing_seconds" in json.loads(out)
+
+
+@pytest.mark.parametrize("text,line", [
+    ("ring F5[x]\nideal a = (x)\nmodule M = [[1/5]]\n", 3),
+    ("ring F5[x] mod (x^2 + 1/10)\nideal a = (x)\n", 1),
+    ("ring Q[x]\nideal a = (x)\nmodule M = [[1/0]]\n", 3),
+    ("ring Q[x]\nideal a = (x)\nmodule M = [[x^]]\n", 3),
+    ("ring Q[x]\nideal a = (x, 1/)\n", 2),
+], ids=["F5 entry", "F5 ideal", "Q zero denominator", "no exponent",
+        "no denominator"])
+def test_unparsable_polynomial_is_input_error(tmp_path, text, line):
+    path = tmp_path / "entry.session"
+    path.write_text(text)
+    code, out = run_cli(["wpr", str(path), "--depth", "2"])
+    assert code == 3
+    report = json.loads(out)
+    assert report["exit_status"] == 3
+    assert report["error"].startswith(f"line {line}: ")
