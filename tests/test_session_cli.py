@@ -186,6 +186,25 @@ PINNED_RUNS = [
     ("gamma_s08_Ax3", ["gamma", sess("s08_qx.session"), "--module", "Ax3"]),
     ("idempotence_s03", ["idempotence", sess("s03_q_xy.session")]),
     ("idempotence_s08", ["idempotence", sess("s08_qx.session")]),
+    # quotient rings by non-monomial ideals
+    ("wpr_s15", ["wpr", sess("s15_q_cusp.session"), "--depth", "4"]),
+    ("wpr_s16", ["wpr", sess("s16_f5_cone.session"), "--depth", "4"]),
+    ("gamma_s15_Mx", ["gamma", sess("s15_q_cusp.session"), "--module", "Mx"]),
+    ("gamma_s16_R", ["gamma", sess("s16_f5_cone.session"), "--module", "R"]),
+    ("completion_s15_Mx", ["completion-tower", sess("s15_q_cusp.session"),
+                           "--module", "Mx", "--depth", "3"]),
+    ("completion_s16_R", ["completion-tower", sess("s16_f5_cone.session"),
+                          "--module", "R", "--depth", "3"]),
+    ("lc_ext_s15_Mx_p1", ["lc-tower", sess("s15_q_cusp.session"), "--module", "Mx",
+                          "--depth", "3", "--model", "ext", "--degree", "1"]),
+    ("lc_koszul_s15_Mx_p1", ["lc-tower", sess("s15_q_cusp.session"), "--module", "Mx",
+                             "--depth", "3", "--model", "koszul", "--degree", "1"]),
+    ("lc_ext_s16_R_p1", ["lc-tower", sess("s16_f5_cone.session"), "--module", "R",
+                         "--depth", "3", "--model", "ext", "--degree", "1"]),
+    ("lc_koszul_s16_R_p1", ["lc-tower", sess("s16_f5_cone.session"), "--module", "R",
+                            "--depth", "3", "--model", "koszul", "--degree", "1"]),
+    ("mgm_s15_R", ["mgm-check", sess("s15_q_cusp.session"), "--module", "R",
+                   "--depth", "3"]),
 ]
 
 
