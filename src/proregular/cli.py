@@ -8,6 +8,7 @@ Commands operate on a session file and emit one canonical report on stdout
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -83,6 +84,8 @@ def _check_options(args) -> None:
         raise CliInputError(f"{args.command} needs --depth >= {least}")
     if args.command in _WINDOW_COMMANDS and not 1 <= args.window < args.depth:
         raise CliInputError(f"{args.command} needs 1 <= --window < --depth")
+    if args.command == "gamma" and args.max_stabilization < 1:
+        raise CliInputError("gamma needs --max-stabilization >= 1")
 
 
 def _system_levels(system) -> list:
@@ -329,10 +332,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built by the first ``run``, so that an import builds none."""
+    return build_parser()
+
+
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     started = time.perf_counter()

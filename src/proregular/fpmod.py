@@ -100,7 +100,6 @@ class FpModule:
         cols = [c for c in cols if any(not ring.is_zero(x) for x in c)]
         if free_rank is None and not cols:
             free_rank = ngens
-        cols += [list(c) for c in ring.ideal_relation_columns(ngens)]
         if canonical:
             cols = ring.canonical_columns(cols, ngens)
         self.relations = mat_from_cols([tuple(c) for c in cols], ngens)

@@ -23,6 +23,17 @@ leads): it does not hold for vectors of a free module.  Pruning is off when
 syzygies are requested: a Schreyer resolution needs the syzygy of every
 S-pair, both for the Groebner property under the Schreyer order and for its
 length bound.
+
+Vectors passed as ``known`` already form a Groebner basis, for instance the
+block ``{g * e_k}`` of a Groebner basis ``g`` of an ideal ``I``, which spans
+``I * A^r`` over a quotient ring ``A/I`` (Greuel-Pfister, *A Singular
+Introduction to Commutative Algebra*, on modules over quotient rings).  They
+join the basis and are sorted with the rest, but no S-pair between two of
+them is ever formed, and the chain criterion counts those pairs as treated:
+each has a standard representation within the block.  ``known`` is refused
+together with ``want_syzygies``, since a Schreyer step needs the syzygy of
+every pair, those inside the block included.
+
 ``syzygies_of_columns`` computes relations among arbitrary generators by the
 graph (elimination block) method, which also yields division coefficients
 for exact solving via ``GraphBasis``.
@@ -208,19 +219,26 @@ def _chain_criterion(i: int, j: int, l: tuple, candidates, pending) -> bool:
 
 def module_groebner(ring: PolyRing, vectors, order: ModuleOrder,
                     want_syzygies: bool = False,
-                    preserve_order: bool = False):
-    """Groebner basis of the submodule generated by ``vectors``.
+                    preserve_order: bool = False, known=()):
+    """Groebner basis of the submodule generated by ``vectors`` and ``known``.
 
     Returns ``(basis, syzygies)``.  When requested, ``syzygies`` generate the
     syzygy module of the *returned* basis (positions ``0..len(basis)-1``) and
     form a Groebner basis for the Schreyer order induced by its leads.  With
     ``preserve_order`` the input arrangement is kept (syzygy positions then
-    refer to the input indices verbatim).
+    refer to the input indices verbatim).  ``known`` vectors must already
+    form a Groebner basis; no S-pair between two of them is formed.
     """
+    if known and want_syzygies:
+        raise ValueError("known basis vectors leave out S-pairs whose "
+                         "syzygies a Schreyer step needs")
     field = ring.field
-    basis = [dict(v) for v in vectors if not vec_is_zero(v)]
+    tagged = [(dict(v), False) for v in vectors if not vec_is_zero(v)]
+    tagged += [(dict(v), True) for v in known if not vec_is_zero(v)]
     if not preserve_order:
-        basis.sort(key=lambda v: order.key(vec_lead(order, v)))
+        tagged.sort(key=lambda vk: order.key(vec_lead(order, vk[0])))
+    basis = [v for v, _ in tagged]
+    is_known = [k for _, k in tagged]
     leads = [vec_lead(order, v) for v in basis]
     reducer = _Reducer(ring, order, basis, leads)
     syzygies = []
@@ -234,7 +252,7 @@ def module_groebner(ring: PolyRing, vectors, order: ModuleOrder,
 
     heap = [pair_entry(i, j)
             for i in range(len(basis)) for j in range(i + 1, len(basis))
-            if leads[i][0] == leads[j][0]]
+            if leads[i][0] == leads[j][0] and not (is_known[i] and is_known[j])]
     heapq.heapify(heap)
     pending = {(i, j) for _, _, i, j in heap}
     while heap:
@@ -290,9 +308,11 @@ def minimal_module_basis(order: ModuleOrder, vectors):
     return kept, leads
 
 
-def reduced_module_groebner(ring: PolyRing, vectors, order: ModuleOrder):
-    """Unique fully reduced, monic module Groebner basis (sorted desc)."""
-    basis, _ = module_groebner(ring, vectors, order)
+def reduced_module_groebner(ring: PolyRing, vectors, order: ModuleOrder,
+                            known=()):
+    """Unique fully reduced, monic module Groebner basis (sorted desc) of
+    the submodule generated by ``vectors`` and the Groebner basis ``known``."""
+    basis, _ = module_groebner(ring, vectors, order, known=known)
     field = ring.field
     kept, kept_leads = minimal_module_basis(order, basis)
     for idx in range(len(kept)):
@@ -369,10 +389,12 @@ class GraphBasis:
 
     Supports membership in the column span, exact solving ``A x = b`` with
     polynomial coefficients, and extraction of the syzygy module (elements
-    of the basis whose first block vanishes).
+    of the basis whose first block vanishes).  ``known`` is a Groebner basis
+    of first-block vectors that joins the span with no ``e_j`` tail: solving
+    and syzygies are then modulo its span, and report only the columns.
     """
 
-    def __init__(self, ring: PolyRing, cols, nrows: int):
+    def __init__(self, ring: PolyRing, cols, nrows: int, known=()):
         self.ring = ring
         self.nrows = nrows
         self.ncols = len(cols)
@@ -384,7 +406,7 @@ class GraphBasis:
             g[(nrows + j, nil)] = ring.field.one()
             graph.append(g)
         self.order = ElimOrder(ring.order, nrows)
-        self.basis, _ = module_groebner(ring, graph, self.order)
+        self.basis, _ = module_groebner(ring, graph, self.order, known=known)
         leads = [vec_lead(self.order, b) for b in self.basis]
         first = [t for t, (pos, _) in enumerate(leads) if pos < nrows]
         self._reducer = _Reducer(ring, self.order, [self.basis[t] for t in first],

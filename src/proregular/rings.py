@@ -1,6 +1,6 @@
 """Backend rings: the integers, polynomial rings over Q/F_p, and quotients.
 
-A ring descriptor bundles element arithmetic with the four matrix services
+A ring descriptor bundles element arithmetic with the three matrix services
 every module computation reduces to:
 
 * ``span_oracle(cols, nrows)`` -- membership / exact solving / syzygies for
@@ -8,13 +8,15 @@ every module computation reduces to:
   over polynomial backends),
 * ``kernel_of_columns`` -- generators of ``{v : sum v_j col_j = 0}``,
 * ``canonical_columns`` -- a canonical generating set of the column span
-  (column HNF over Z, reduced module Groebner basis over polynomials),
-* ``ideal_relation_columns`` -- for quotient rings ``A/I``, the columns
-  ``q * e_k`` that every presentation silently carries.
+  (column HNF over Z, reduced module Groebner basis over polynomials).
 
 Quotient rings ``A/I`` reuse the polynomial engine: elements are stored as
-normal forms modulo a cached Groebner basis of ``I``, and all matrix
-services augment with the ideal block.
+normal forms modulo the reduced Groebner basis ``ideal_gb`` of ``I``, and
+every matrix service works modulo ``I * A^r``.  Its block ``{g * e_k : g in
+ideal_gb}`` is already a Groebner basis, so the services pass it to the
+engine as ``known``: it is never paired with itself, and in a span oracle's
+graph it carries no ``e_j`` tail, so solutions and syzygies come back with
+one coordinate per column.  Presentations do not store the block.
 
 ``ring_matmul`` is a sparse product: it multiplies only structurally
 nonzero entries (``0`` over Z, a term-free ``Poly`` otherwise), so the
@@ -54,32 +56,6 @@ class _ZSpanOracle:
     def syzygy_columns(self):
         k = kernel_basis(self.m)
         return [list(k.col(j)) for j in range(k.ncols)]
-
-
-class _PolySpanOracle:
-    """Column-span services over a polynomial or quotient backend."""
-
-    def __init__(self, ring, cols, nrows, extra_cols):
-        self.base = ring
-        self.nrows = nrows
-        self.ncols = len(cols)
-        self.graph = GraphBasis(ring, [list(c) for c in cols] + [list(c) for c in extra_cols], nrows)
-
-    def member(self, target) -> bool:
-        return self.graph.member(list(target))
-
-    def solve(self, target):
-        x = self.graph.solve(list(target))
-        return None if x is None else x[: self.ncols]
-
-    def syzygy_columns(self):
-        full = self.graph.syzygy_columns()
-        seen = {}
-        for col in full:
-            proj = col[: self.ncols]
-            if any(not p.is_zero() for p in proj):
-                seen.setdefault(tuple(proj), proj)
-        return list(seen.values())
 
 
 class IntegerRing:
@@ -143,9 +119,6 @@ class IntegerRing:
 
     def generator_sort(self, elems):
         return sorted(elems, key=lambda e: (abs(e), e))
-
-    def ideal_relation_columns(self, ngens):
-        return []
 
     def span_oracle(self, cols, nrows):
         return _ZSpanOracle(cols, nrows)
@@ -240,11 +213,13 @@ class PolynomialRing:
                       key=lambda p: tuple(self.order.key(e) for e, _ in p.terms),
                       reverse=True)
 
-    def ideal_relation_columns(self, ngens):
-        return []
+    def _ideal_block(self, nrows):
+        """The Groebner basis of ``I * A^nrows``; empty without a quotient."""
+        return ()
 
     def span_oracle(self, cols, nrows):
-        return _PolySpanOracle(self.poly_ring, cols, nrows, [])
+        return GraphBasis(self.poly_ring, [list(c) for c in cols], nrows,
+                          known=self._ideal_block(nrows))
 
     def kernel_of_columns(self, cols, nrows):
         return self.span_oracle(cols, nrows).syzygy_columns()
@@ -252,9 +227,11 @@ class PolynomialRing:
     def canonical_columns(self, cols, nrows):
         vecs = columns_to_vectors(self.poly_ring, [list(c) for c in cols])
         vecs = [v for v in vecs if v]
-        if not vecs:
+        known = self._ideal_block(nrows)
+        if not vecs and not known:
             return []
-        gb = reduced_module_groebner(self.poly_ring, vecs, TopOrder(self.order))
+        gb = reduced_module_groebner(self.poly_ring, vecs, TopOrder(self.order),
+                                     known=known)
         return vectors_to_columns(self.poly_ring, gb, nrows)
 
     def __eq__(self, other):
@@ -272,8 +249,8 @@ class QuotientRing(PolynomialRing):
     """Quotient ``A/I`` of a polynomial ring by a finitely generated ideal.
 
     Elements are stored as normal forms modulo the reduced Groebner basis
-    of ``I``; every presentation matrix implicitly gains the columns
-    ``q * e_k`` for the generators ``q`` of ``I``.
+    ``ideal_gb`` of ``I``; every matrix service works modulo the block
+    ``g * e_k`` for ``g`` in ``ideal_gb``.
     """
 
     kind = "quotient"
@@ -324,31 +301,9 @@ class QuotientRing(PolynomialRing):
     def parse(self, text: str):
         return self.normalize(self.poly_ring.parse(text))
 
-    def ideal_relation_columns(self, ngens):
-        cols = []
-        zero = self.poly_ring.zero()
-        for k in range(ngens):
-            for q in self.ideal_generators:
-                col = [zero] * ngens
-                col[k] = q
-                cols.append(col)
-        return cols
-
-    def span_oracle(self, cols, nrows):
-        return _PolySpanOracle(self.poly_ring, cols, nrows,
-                               self.ideal_relation_columns(nrows))
-
-    def kernel_of_columns(self, cols, nrows):
-        return self.span_oracle(cols, nrows).syzygy_columns()
-
-    def canonical_columns(self, cols, nrows):
-        allc = [list(c) for c in cols] + self.ideal_relation_columns(nrows)
-        vecs = columns_to_vectors(self.poly_ring, allc)
-        vecs = [v for v in vecs if v]
-        if not vecs:
-            return []
-        gb = reduced_module_groebner(self.poly_ring, vecs, TopOrder(self.order))
-        return vectors_to_columns(self.poly_ring, gb, nrows)
+    def _ideal_block(self, nrows):
+        return [{(k, e): c for e, c in g.terms}
+                for k in range(nrows) for g in self.ideal_gb.polys]
 
     def __eq__(self, other):
         return isinstance(other, QuotientRing) and other.poly_ring == self.poly_ring \

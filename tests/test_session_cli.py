@@ -2,6 +2,8 @@ import io
 import json
 import contextlib
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -125,6 +127,10 @@ GOLDEN_RUNS = [
       "--depth", "0"], 3),
     (["stability", sess("s13_z_p3.session"), "--depth", "-1"], 3),
     (["koszul", sess("s08_qx.session"), "--depth", "0"], 3),
+    (["gamma", sess("s01_z_p2.session"), "--module", "M8",
+      "--max-stabilization", "0"], 3),
+    (["gamma", sess("s01_z_p2.session"), "--module", "M8",
+      "--max-stabilization", "-3"], 3),
 ]
 
 
@@ -144,6 +150,36 @@ def test_budget_exit_code(tmp_path):
                          "--max-stabilization", "1"])
     assert code == 4
     assert json.loads(out)["exit_status"] == 4
+
+
+PARSER_COUNT = """
+import argparse, contextlib, io
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+from proregular import cli
+counts = [len(built)]
+for _ in range(2):
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.run(["wpr", {session!r}, "--depth", "2"])
+    counts.append(len(built))
+print(counts)
+"""
+
+
+def test_parser_built_once_on_first_run():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = PARSER_COUNT.format(session=sess("s01_z_p2.session"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    after_import, after_first, after_second = json.loads(out)
+    assert after_import == 0
+    assert after_first > 0
+    assert after_second == after_first
 
 
 def golden_report(name):
