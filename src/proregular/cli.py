@@ -8,7 +8,6 @@ Commands operate on a session file and emit one canonical report on stdout
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 import time
 
@@ -309,38 +308,31 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser for every command: each command reads the options it needs."""
     parser = argparse.ArgumentParser(
         prog="proregular",
         description="Exact Koszul-tower computations on session files")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("session", help="path to the session file")
-        p.add_argument("--depth", type=int, default=4)
-        p.add_argument("--window", type=int, default=1)
-        p.add_argument("--ideal", default=None)
-        p.add_argument("--module", default=None)
-        p.add_argument("--degree", type=int, default=None)
-        p.add_argument("--model", choices=("ext", "koszul"), default="ext")
-        p.add_argument("--format", choices=("json", "tsv"), default="json")
-        p.add_argument("--max-stabilization", type=int, default=32,
-                       dest="max_stabilization")
-        p.add_argument("--chain", default=None)
-        p.add_argument("--complex", default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--timing", action="store_true")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("session", help="path to the session file")
+    parser.add_argument("--depth", type=int, default=4)
+    parser.add_argument("--window", type=int, default=1)
+    parser.add_argument("--ideal", default=None)
+    parser.add_argument("--module", default=None)
+    parser.add_argument("--degree", type=int, default=None)
+    parser.add_argument("--model", choices=("ext", "koszul"), default="ext")
+    parser.add_argument("--format", choices=("json", "tsv"), default="json")
+    parser.add_argument("--max-stabilization", type=int, default=32,
+                        dest="max_stabilization")
+    parser.add_argument("--chain", default=None)
+    parser.add_argument("--complex", default=None)
+    parser.add_argument("--out", default=None)
+    parser.add_argument("--timing", action="store_true")
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built by the first ``run``, so that an import builds none."""
-    return build_parser()
 
 
 def run(argv) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     started = time.perf_counter()
