@@ -131,6 +131,9 @@ GOLDEN_RUNS = [
       "--max-stabilization", "0"], 3),
     (["gamma", sess("s01_z_p2.session"), "--module", "M8",
       "--max-stabilization", "-3"], 3),
+    # A4's certificate boundary: undetermined at depth 5, pass at depth 6
+    (["wpr", sess("s06_witness_a4.session"), "--depth", "5"], 2),
+    (["wpr", sess("s06_witness_a4.session"), "--depth", "6"], 0),
 ]
 
 
@@ -238,6 +241,9 @@ PINNED_RUNS = [
                             "--depth", "3", "--model", "koszul", "--degree", "1"]),
     ("mgm_s15_R", ["mgm-check", sess("s15_q_cusp.session"), "--module", "R",
                    "--depth", "3"]),
+    # the witness ring A4 on both sides of its certificate boundary
+    ("wpr_s06_d5", ["wpr", sess("s06_witness_a4.session"), "--depth", "5"]),
+    ("wpr_s06_d6", ["wpr", sess("s06_witness_a4.session"), "--depth", "6"]),
 ]
 
 
