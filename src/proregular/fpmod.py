@@ -7,9 +7,13 @@ cokernels come with their canonical inclusion/projection morphisms, and all
 subquotient constructions are minimized (unit-pivot pruning) so tower-level
 objects stay small.
 
-Over a quotient backend ``A/I`` every presentation silently carries the
-relation columns ``q * e_k`` for generators ``q`` of ``I``; the ring's span
-oracle takes care of that, so all formulas below are backend-agnostic.
+Over a quotient backend ``A/I`` the ring's matrix services work modulo
+``I * A^r``, so all formulas below are backend-agnostic.  The canonical
+relations of a module over ``A/I`` include the reduced block ``g * e_k`` for
+``g`` in the ring's ``ideal_gb`` (save the block vectors whose leads another
+relation's lead divides); span oracles take those stored block columns as
+zero columns, and the bare block of a free module is canonical as it stands
+(see ``rings``).
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .intlinalg import Mat, mat_from_cols
-from .rings import ring_identity, ring_matmul, ring_zero_mat
+from .rings import ring_identity, ring_matmul, ring_zero_mat, structurally_nonzero
 
 
 class ModuleError(ValueError):
@@ -93,11 +97,12 @@ class FpModule:
                  canonical: bool = True, free_rank=None):
         self.ring = ring
         self.ngens = ngens
-        cols = [[ring.normalize(ring.coerce(x)) for x in col] for col in relation_columns]
+        cols = [[ring.coerce(x) for x in col] for col in relation_columns]
         for col in cols:
             if len(col) != ngens:
                 raise ModuleError("relation column length must equal generator count")
-        cols = [c for c in cols if any(not ring.is_zero(x) for x in c)]
+        nonzero = structurally_nonzero(ring)
+        cols = [c for c in cols if any(map(nonzero, c))]
         if free_rank is None and not cols:
             free_rank = ngens
         if canonical:

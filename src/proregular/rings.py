@@ -13,15 +13,25 @@ every module computation reduces to:
 Quotient rings ``A/I`` reuse the polynomial engine: elements are stored as
 normal forms modulo the reduced Groebner basis ``ideal_gb`` of ``I``, and
 every matrix service works modulo ``I * A^r``.  Its block ``{g * e_k : g in
-ideal_gb}`` is already a Groebner basis, so the services pass it to the
-engine as ``known``: it is never paired with itself, and in a span oracle's
-graph it carries no ``e_j`` tail, so solutions and syzygies come back with
-one coordinate per column.  Presentations do not store the block.
+ideal_gb}`` is already a Groebner basis, and it reaches the engine once, as
+``known``: it is never paired with itself, and in a span oracle's graph it
+carries no ``e_j`` tail, so solutions and syzygies come back with one
+coordinate per column.  Three consequences:
+
+* the canonical relations of a module over ``A/I`` include the reduced
+  block, save the block vectors whose leads another relation's lead
+  divides: they are a reduced basis of a submodule containing ``I * A^r``
+  (a free module's relations are the whole block);
+* a span oracle takes such a stored block column (every nonzero entry an
+  element of ``ideal_gb``) as a zero column: it is zero in ``(A/I)^r``, so
+  ``solve`` gives it 0 and its syzygy is ``e_j``;
+* a bare block is canonical as it stands: the block of the reduced, monic
+  ``ideal_gb`` is the unique reduced basis of ``I * A^r``.
 
 ``ring_matmul`` is a sparse product: it multiplies only structurally
-nonzero entries (``0`` over Z, a term-free ``Poly`` otherwise), so the
-mostly-zero Hom and tensor matrices cost one ``mul`` per pair of nonzero
-entries, and no zero entry is put through a quotient ring's normal form.
+nonzero entries (see ``structurally_nonzero``), so the mostly-zero Hom and
+tensor matrices cost one ``mul`` per pair of nonzero entries, and no zero
+entry is put through a quotient ring's normal form.
 """
 
 from __future__ import annotations
@@ -127,6 +137,8 @@ class IntegerRing:
         return _ZSpanOracle(cols, nrows).syzygy_columns()
 
     def canonical_columns(self, cols, nrows):
+        if not cols:
+            return []
         h = canonical_column_form(mat_from_cols([tuple(c) for c in cols], nrows))
         return [list(h.col(j)) for j in range(h.ncols)]
 
@@ -213,26 +225,37 @@ class PolynomialRing:
                       key=lambda p: tuple(self.order.key(e) for e, _ in p.terms),
                       reverse=True)
 
+    # the elements of ``ideal_gb``; empty without a quotient
+    _ideal_polys = frozenset()
+
     def _ideal_block(self, nrows):
-        """The Groebner basis of ``I * A^nrows``; empty without a quotient."""
+        """The reduced Groebner basis of ``I * A^nrows``, in descending
+        ``TopOrder`` lead; empty without a quotient."""
         return ()
 
     def span_oracle(self, cols, nrows):
-        return GraphBasis(self.poly_ring, [list(c) for c in cols], nrows,
-                          known=self._ideal_block(nrows))
+        """Graph-method oracle modulo ``I * A^nrows``.  A column whose every
+        nonzero entry is an element of ``ideal_gb`` lies in the block's span,
+        so it enters the graph as a zero column and keeps its coordinate."""
+        block = self._ideal_polys
+        zero = [self.zero()] * nrows
+        cols = [zero if all(not p.terms or p in block for p in c) else list(c)
+                for c in cols]
+        return GraphBasis(self.poly_ring, cols, nrows, known=self._ideal_block(nrows))
 
     def kernel_of_columns(self, cols, nrows):
         return self.span_oracle(cols, nrows).syzygy_columns()
 
     def canonical_columns(self, cols, nrows):
+        """Reduced module Groebner basis of the columns and the block; with
+        no nonzero column it is the block as it stands."""
         vecs = columns_to_vectors(self.poly_ring, [list(c) for c in cols])
         vecs = [v for v in vecs if v]
-        known = self._ideal_block(nrows)
-        if not vecs and not known:
-            return []
-        gb = reduced_module_groebner(self.poly_ring, vecs, TopOrder(self.order),
-                                     known=known)
-        return vectors_to_columns(self.poly_ring, gb, nrows)
+        basis = self._ideal_block(nrows)
+        if vecs:
+            basis = reduced_module_groebner(self.poly_ring, vecs, TopOrder(self.order),
+                                            known=basis)
+        return vectors_to_columns(self.poly_ring, basis, nrows)
 
     def __eq__(self, other):
         return isinstance(other, PolynomialRing) and not isinstance(other, QuotientRing) \
@@ -263,6 +286,7 @@ class QuotientRing(PolynomialRing):
             raise RingError("quotient requires at least one nonzero ideal generator")
         self.ideal_generators = tuple(gens)
         self.ideal_gb = groebner_basis(list(gens))
+        self._ideal_polys = frozenset(self.ideal_gb.polys)
 
     def normalize(self, a):
         return normal_form(a, self.ideal_gb)
@@ -302,8 +326,10 @@ class QuotientRing(PolynomialRing):
         return self.normalize(self.poly_ring.parse(text))
 
     def _ideal_block(self, nrows):
+        # ``ideal_gb`` is sorted by descending lead, and of two equal leads
+        # the lower position is the larger under ``TopOrder``
         return [{(k, e): c for e, c in g.terms}
-                for k in range(nrows) for g in self.ideal_gb.polys]
+                for g in self.ideal_gb.polys for k in range(nrows)]
 
     def __eq__(self, other):
         return isinstance(other, QuotientRing) and other.poly_ring == self.poly_ring \
@@ -337,20 +363,26 @@ def quotient_ring(base: PolynomialRing, ideal_generators) -> QuotientRing:
     return QuotientRing(base.field, base.variables, ideal_generators, base.order)
 
 
+def structurally_nonzero(ring):
+    """The zero test that runs no normal form: ``bool`` over Z, a ``Poly``
+    with terms otherwise.  It is exact on elements in normal form."""
+    return bool if isinstance(ring, IntegerRing) else (lambda p: bool(p.terms))
+
+
 def ring_matmul(ring, a: Mat, b: Mat) -> Mat:
     """The product ``a * b``, computed row by row over nonzero entries only.
 
     Gustavson's sparse product (Gustavson 1978): each row of ``b`` is turned
     once into its nonzero ``(j, entry)`` pairs; each row of ``a`` visits its
     nonzero entries in ascending ``k`` and accumulates ``a[i][k] * b[k][j]``
-    into a per-row dict.  The zero test is structural (``0`` over Z, a
-    ``Poly`` without terms otherwise) and never a normal form, so a zero
-    entry is never multiplied and a quotient ring normalizes only products
-    and sums of nonzero entries.  Entries with no product are ``ring.zero()``.
+    into a per-row dict.  The zero test is ``structurally_nonzero``, never a
+    normal form, so a zero entry is never multiplied and a quotient ring
+    normalizes only products and sums of nonzero entries.  Entries with no
+    product are ``ring.zero()``.
     """
     if a.ncols != b.nrows:
         raise RingError("shape mismatch in ring matmul")
-    nonzero = bool if isinstance(ring, IntegerRing) else (lambda p: bool(p.terms))
+    nonzero = structurally_nonzero(ring)
     b_rows = [[(j, y) for j, y in enumerate(row) if nonzero(y)] for row in b.rows]
     mul, add, zero = ring.mul, ring.add, ring.zero()
     rows = []

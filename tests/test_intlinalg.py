@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from proregular import rings
 from proregular.intlinalg import (Mat, canonical_column_form,
                                   column_span_contains, det,
                                   hermite_normal_form, is_unimodular,
@@ -144,3 +145,18 @@ def test_det():
     assert det(Mat.identity(0)) == 1
     with pytest.raises(ValueError):
         det(Mat.zero(2, 3))
+
+
+def test_integer_canonical_form_of_no_columns_runs_no_hermite_form(monkeypatch):
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return canonical_column_form(m)
+
+    monkeypatch.setattr(rings, "canonical_column_form", counting)
+    z = rings.integers()
+    assert z.canonical_columns([], 3) == []
+    assert calls == []
+    assert z.canonical_columns([[0, 4, 0], [0, 6, 0]], 3) == [[0, 2, 0]]
+    assert len(calls) == 1

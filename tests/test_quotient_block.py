@@ -2,9 +2,12 @@
 
 Over ``A/I`` every matrix service works modulo ``I * A^r``, and the block
 ``{g * e_k}`` over the reduced basis of ``I`` goes to the engine as
-``known``.  Canonical forms are checked against the formula that appends
-raw ideal-generator columns and passes no known block, span-oracle answers
-and kernels modulo ``I``, and the absence of S-pair work inside the block.
+``known``, once: stored block columns enter span oracles as zero columns,
+and a bare block is its own canonical form.  Canonical forms are checked
+against the formula that appends raw ideal-generator columns and passes no
+known block, span-oracle answers and kernels modulo ``I`` (with and without
+block columns among the inputs), and the absence of S-pair work inside the
+block.
 """
 
 import sys
@@ -13,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from proregular import groebner
-from proregular.fpmod import free_module
+from proregular.fpmod import FpModule, free_module
 from proregular.groebner import (GraphBasis, TopOrder, columns_to_vectors,
                                  module_groebner, normal_form,
                                  reduced_module_groebner, vectors_to_columns)
@@ -106,13 +109,23 @@ def test_span_oracle_and_kernel_modulo_the_ideal(module, data):
         quot.canonical_columns(projected, len(cols))
 
 
-def test_free_module_canonical_form_runs_no_s_pair_reduction(monkeypatch):
-    """Over A3 the canonical form of ``A3^3`` is the ideal block itself: every
-    reduction is inter-reduction, none is an S-pair reduction."""
-    base = rational_poly_ring(("x", "e1", "e2", "e3"))
-    gens = ["e1*x", "e2*x^2", "e3*x^3"]
-    gens += [f"e{i}*e{j}" for i in range(1, 4) for j in range(i, 4)]
-    a3 = quotient_ring(base, gens)
+def witness_ring(n):
+    """``A_n = Q[x, e_1..e_n]/(e_i x^i, e_i e_j)``."""
+    base = rational_poly_ring(("x",) + tuple(f"e{i}" for i in range(1, n + 1)))
+    gens = [f"e{i}*x^{i}" for i in range(1, n + 1)]
+    gens += [f"e{i}*e{j}" for i in range(1, n + 1) for j in range(i, n + 1)]
+    return quotient_ring(base, gens)
+
+
+def block_columns(quot, rank):
+    """The columns ``g * e_k`` for ``g`` in the reduced basis of ``I``."""
+    zero = quot.poly_ring.zero()
+    return [[g if r == k else zero for r in range(rank)]
+            for k in range(rank) for g in quot.ideal_gb.polys]
+
+
+def count_reductions(monkeypatch):
+    """Record the calling function of every ``_Reducer.reduce`` from now on."""
     callers = []
     reduce = groebner._Reducer.reduce
 
@@ -121,9 +134,108 @@ def test_free_module_canonical_form_runs_no_s_pair_reduction(monkeypatch):
         return reduce(self, v, record)
 
     monkeypatch.setattr(groebner._Reducer, "reduce", counting)
+    return callers
+
+
+def test_free_module_canonical_form_runs_no_s_pair_reduction(monkeypatch):
+    """Over A3 the canonical form of ``A3^3`` is the ideal block as it
+    stands: building it runs no reduction at all."""
+    a3 = witness_ring(3)
+    ring = a3.poly_ring
+    vecs = columns_to_vectors(ring, block_columns(a3, 3))
+    want = vectors_to_columns(ring, reduced_module_groebner(ring, vecs, TopOrder(ring.order)), 3)
+    callers = count_reductions(monkeypatch)
     m = free_module(a3, 3)
+    assert callers == []
+    assert [list(m.relations.col(j)) for j in range(m.relations.ncols)] == want
     assert m.relations.ncols == 3 * len(a3.ideal_gb)
-    assert callers and set(callers) == {"reduced_module_groebner"}
+
+
+def test_free_module_relation_oracle_reduces_no_s_pair(monkeypatch):
+    """Every stored relation of ``A3^2`` is a block column, so each enters the
+    relation oracle as a zero column: no S-pair is formed, the syzygies are
+    the unit vectors, and a block column is solved with all coordinates 0."""
+    a3 = witness_ring(3)
+    m = free_module(a3, 2)
+    callers = count_reductions(monkeypatch)
+    oracle = m.relation_oracle()
+    assert "module_groebner" not in callers
+    n = m.relations.ncols
+    one, zero = a3.one(), a3.zero()
+    units = {tuple(one if t == j else zero for t in range(n)) for j in range(n)}
+    syz = oracle.syzygy_columns()
+    assert len(syz) == n and set(map(tuple, syz)) == units
+    assert oracle.solve(list(m.relations.col(0))) == [zero] * n
+    assert oracle.solve([one, zero]) is None
+
+
+def test_module_entries_are_normalized_once(monkeypatch):
+    """``FpModule`` puts each relation entry over ``A/I`` through one normal
+    form (its ``coerce``), and tests zero columns with no normal form."""
+    a3 = witness_ring(3)
+    cols = [["x^2*e1 + e2", "e1*e2"], ["e3*x^3", "0"], ["x", "e1^2 + x*e3"]]
+    callers = count_reductions(monkeypatch)
+    m = FpModule(a3, 2, cols, canonical=False)
+    assert callers == ["normal_form"] * 6
+    assert m.relations.ncols == 2
+    assert [a3.to_str(p) for p in m.relations.col(0)] == ["e2", "0"]
+
+
+def test_bare_block_is_its_own_reduced_basis():
+    """With no nonzero column the canonical form is the block, in the order
+    and with the coefficients that the reduced-basis computation gives."""
+    for quot in (witness_ring(2), quotient_ring(BASES["F5"], ["x^2 - y*z", "x*y + 2*z^3"])):
+        ring = quot.poly_ring
+        for rank in (1, 2, 3):
+            vecs = columns_to_vectors(ring, block_columns(quot, rank))
+            want = vectors_to_columns(
+                ring, reduced_module_groebner(ring, vecs, TopOrder(ring.order)), rank)
+            zero_col = [ring.zero()] * rank
+            assert quot.canonical_columns([], rank) == want
+            assert quot.canonical_columns([zero_col], rank) == want
+
+
+@SETTINGS
+@given(quotient_modules(), st.data())
+def test_span_oracle_with_block_columns(module, data):
+    """Relation columns that contain block columns: the canonical relations
+    of the module and some raw block columns, after a few generators.  The
+    generators include block columns with their zero entries filled, which
+    lie outside ``I * A^r`` although one entry is in ``ideal_gb``."""
+    quot, rank, cols = module
+    ring = quot.poly_ring
+    rels = quot.canonical_columns(cols, rank)
+    block = block_columns(quot, rank)
+    picked = data.draw(st.lists(st.sampled_from(block), min_size=1, max_size=3))
+    gens = data.draw(st.lists(st.lists(polys(ring), min_size=rank, max_size=rank),
+                              min_size=0, max_size=2))
+    filled = [[p if p.terms else data.draw(polys(ring, 1, 2)) for p in c]
+              for c in data.draw(st.lists(st.sampled_from(block), max_size=2))]
+    mixed = gens + filled + picked + rels
+    is_block = [c in block for c in mixed]
+    oracle = quot.span_oracle(mixed, rank)
+    coeffs = data.draw(st.lists(polys(ring), min_size=len(mixed), max_size=len(mixed)))
+    other = data.draw(st.lists(polys(ring), min_size=rank, max_size=rank))
+    for target, reachable in ((combination(ring, mixed, coeffs, rank), True),
+                              (other, False)):
+        x = oracle.solve(target)
+        assert x is not None or not reachable
+        assert oracle.member(target) == (x is not None)
+        if x is not None:
+            assert len(x) == len(mixed)
+            assert all(p.is_zero() for p, b in zip(x, is_block) if b)
+            image = combination(ring, mixed, x, rank)
+            assert zero_modulo_ideal(quot, [ring.sub(a, b) for a, b in zip(image, target)])
+    kernel = quot.kernel_of_columns(mixed, rank)
+    for v in kernel:
+        assert len(v) == len(mixed)
+        assert zero_modulo_ideal(quot, combination(ring, mixed, v, rank))
+    # the same kernel as the graph with every column tailed, raw ideal
+    # columns appended and no known block, projected
+    raw = GraphBasis(ring, mixed + raw_ideal_columns(quot, rank), rank).syzygy_columns()
+    projected = [v[:len(mixed)] for v in raw]
+    assert quot.canonical_columns(kernel, len(mixed)) == \
+        quot.canonical_columns(projected, len(mixed))
 
 
 def test_known_block_refuses_syzygies():
