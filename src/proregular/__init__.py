@@ -26,9 +26,9 @@ from .complexes import (BoundedComplex, ComplexMorphism, cohomology, cone,
 from .resolutions import FreeResolution, ext_module, free_resolution
 from .towers import (IndSystem, ProSystem, SystemMap, is_pro_zero,
                      tower_equivalence, vanishing_check)
-from .koszul import (copointed_idempotence_check, dual_koszul, koszul_complex,
-                     koszul_cohomology_prosystem, koszul_transition,
-                     radical_invariance_suite, weak_proregularity_check)
+from .koszul import (KoszulTower, copointed_idempotence_check, koszul_complex,
+                     koszul_transition, radical_invariance_suite,
+                     weak_proregularity_check)
 from .torsion import (completion_tower, derived_completion_tower,
                       ext_torsion_tower, gamma, gamma_idempotence,
                       koszul_torsion_tower, mgm_check, profinite_tower)

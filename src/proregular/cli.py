@@ -14,7 +14,7 @@ import time
 from .complexes import cohomology
 from .fieldlinalg import is_prime
 from .fpmod import IdealSpec, cokernel, kernel
-from .koszul import (copointed_idempotence_check, koszul_complex,
+from .koszul import (KoszulTower, copointed_idempotence_check,
                      weak_proregularity_check)
 from .reports import (SCHEMA_VERSION, module_summary, render_json, render_tsv,
                       vanishing_verdict_dict)
@@ -108,8 +108,7 @@ def _transition_flags(system) -> list:
 def _cmd_koszul(session, args):
     ideal = _ideal_of(session, args)
     levels = {}
-    for i in range(1, args.depth + 1):
-        k = koszul_complex(ideal, i)
+    for i, k in enumerate(KoszulTower(ideal, args.depth).stages, start=1):
         ranks = {str(q): k.module(q).free_rank for q in k.degrees()}
         hs = {str(q): module_summary(cohomology(k, q)) for q in k.degrees()}
         levels[str(i)] = {"ranks": ranks, "cohomology": hs}
@@ -118,7 +117,7 @@ def _cmd_koszul(session, args):
 
 def _cmd_wpr(session, args):
     ideal = _ideal_of(session, args)
-    verdict = weak_proregularity_check(ideal, depth=args.depth, window=args.window)
+    verdict = weak_proregularity_check(KoszulTower(ideal, args.depth), args.window)
     details = {
         "ideal": _ideal_dict(ideal),
         "verdict": verdict.status,
@@ -150,7 +149,7 @@ def _cmd_lc_tower(session, args):
     if args.model == "ext":
         system = ext_torsion_tower(module, ideal, p, args.depth)
     else:
-        system = koszul_torsion_tower(module, ideal, p, args.depth)
+        system = koszul_torsion_tower(module, KoszulTower(ideal, args.depth), p)
     details = {
         "ideal": _ideal_dict(ideal),
         "module": module.name,
@@ -168,7 +167,7 @@ def _cmd_completion_tower(session, args):
         if args.complex not in session.complexes:
             raise CliInputError(f"unknown complex {args.complex!r}")
         cx = session.complexes[args.complex]
-        towers = derived_completion_tower(cx, ideal, args.depth)
+        towers = derived_completion_tower(cx, KoszulTower(ideal, args.depth))
         details = {
             "ideal": _ideal_dict(ideal),
             "complex": args.complex,
@@ -207,23 +206,28 @@ def _cmd_profinite_tower(session, args):
     return details, EXIT_PASS
 
 
+def _wpr_refusal(tower: KoszulTower, window: int, head: dict):
+    """The exit-2 report of ``mgm-check`` and ``idempotence`` when their
+    premise, weak proregularity, is not established on ``tower`` at its
+    depth (``head`` plus the reason); ``None`` when it is."""
+    if weak_proregularity_check(tower, window).passed:
+        return None
+    return dict(head, verdict="undetermined",
+                reason="weak proregularity precondition not established"), \
+        EXIT_UNDETERMINED
+
+
 def _cmd_mgm_check(session, args):
     ideal = _ideal_of(session, args)
     module = _module_of(session, args)
-    wpr = weak_proregularity_check(ideal, depth=args.depth, window=args.window)
-    if not wpr.passed:
-        details = {
-            "ideal": _ideal_dict(ideal),
-            "module": module.name,
-            "verdict": "undetermined",
-            "reason": "weak proregularity precondition not established",
-        }
-        return details, EXIT_UNDETERMINED
-    report = mgm_check(module, ideal, depth=args.depth, window=args.window,
-                       require_wpr=False)
+    tower = KoszulTower(ideal, args.depth)
+    head = {"ideal": _ideal_dict(ideal), "module": module.name}
+    refusal = _wpr_refusal(tower, args.window, head)
+    if refusal:
+        return refusal
+    report = mgm_check(module, tower, args.window)
     details = {
-        "ideal": _ideal_dict(ideal),
-        "module": module.name,
+        **head,
         "verdict": "pass" if report.passed else "undetermined",
         "torsion_of_completion": _side_dict(report.tau_side),
         "completion_of_torsion": _side_dict(report.sigma_side),
@@ -264,18 +268,14 @@ def _cmd_thm45(session, args):
 
 def _cmd_idempotence(session, args):
     ideal = _ideal_of(session, args)
-    wpr = weak_proregularity_check(ideal, depth=args.depth, window=args.window)
-    if not wpr.passed:
-        details = {
-            "ideal": _ideal_dict(ideal),
-            "verdict": "undetermined",
-            "reason": "weak proregularity precondition not established",
-        }
-        return details, EXIT_UNDETERMINED
-    report = copointed_idempotence_check(ideal, depth=args.depth,
-                                         window=args.window, require_wpr=False)
+    tower = KoszulTower(ideal, args.depth)
+    head = {"ideal": _ideal_dict(ideal)}
+    refusal = _wpr_refusal(tower, args.window, head)
+    if refusal:
+        return refusal
+    report = copointed_idempotence_check(tower, args.window)
     details = {
-        "ideal": _ideal_dict(ideal),
+        **head,
         "verdict": report.status,
         "sides": {
             side: {str(p): {"status": v.status}

@@ -7,6 +7,11 @@ transitions (identity in degree 0, multiplication by the power gap in
 degree -1), never ad hoc formulas.  Dual complexes are ``Hom(-, A)`` and
 inherit their ind transitions contravariantly.
 
+``KoszulTower`` holds the stages, their transitions, the duals and the dual
+transitions of one sequence up to a depth.  A command builds one tower and
+passes it to each check it runs, so every stage and transition is built
+once per command, and each dual is ``Hom`` of that same stage.
+
 Weak proregularity of a sequence is the pro-zero property of every
 negative-degree cohomology tower of the Koszul stages; at finite depth the
 verdict is ``pass`` / ``undetermined`` as in ``towers``.
@@ -15,6 +20,7 @@ verdict is ``pass`` / ``undetermined`` as in ``towers``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .complexes import (BoundedComplex, ComplexMorphism, block_identity_map,
                         cohomology, hom_complex, hom_of_source_map,
@@ -42,10 +48,10 @@ def koszul_complex(a: IdealSpec, power: int = 1) -> BoundedComplex:
     return out
 
 
-def koszul_transition(a: IdealSpec, j: int, i: int,
-                      source: BoundedComplex | None = None,
-                      target: BoundedComplex | None = None) -> ComplexMorphism:
-    """The stage map ``K(A; a^j) -> K(A; a^i)`` for ``j >= i >= 1``.
+def koszul_transition(a: IdealSpec, j: int, i: int, source: BoundedComplex,
+                      target: BoundedComplex) -> ComplexMorphism:
+    """The stage map ``K(A; a^j) -> K(A; a^i)`` for ``j >= i >= 1``, between
+    the given stages ``source = K(A; a^j)`` and ``target = K(A; a^i)``.
 
     Identity in degree 0; multiplication by ``a_k^{j-i}`` in degree -1;
     everything below by tensor functoriality.
@@ -53,58 +59,74 @@ def koszul_transition(a: IdealSpec, j: int, i: int,
     if j < i or i < 1:
         raise ValueError("transition requires j >= i >= 1")
     ring = a.ring
-    src = source if source is not None else koszul_complex(a, j)
-    tgt = target if target is not None else koszul_complex(a, i)
     out = identity_complex_morphism(ring_complex(ring))
-    cur_src = out.source
-    cur_tgt = out.target
     f = free_module(ring, 1)
-    for g in a.generators:
+    last = len(a.generators) - 1
+    for k, g in enumerate(a.generators):
         gj = ring.pow(g, j)
         gi = ring.pow(g, i)
         gap = ring.pow(g, j - i)
         single = ComplexMorphism(_two_term(ring, gj), _two_term(ring, gi),
                                  {-1: multiplication_morphism(f, gap),
                                   0: identity_morphism(f)}, check=False)
-        nxt_src = tensor_complexes(cur_src, single.source)
-        nxt_tgt = tensor_complexes(cur_tgt, single.target)
+        # the last factor lands on the given stages, which are these tensor
+        # products; the partial products before it only carry the layout
+        if k == last:
+            nxt_src, nxt_tgt = source, target
+        else:
+            nxt_src = tensor_complexes(out.source, single.source)
+            nxt_tgt = tensor_complexes(out.target, single.target)
         out = tensor_complex_morphisms(out, single, nxt_src, nxt_tgt)
-        cur_src, cur_tgt = nxt_src, nxt_tgt
-    return ComplexMorphism(src, tgt, out.maps, check=False)
+    return ComplexMorphism(source, target, out.maps, check=False)
 
 
-def dual_koszul(a: IdealSpec, power: int = 1) -> BoundedComplex:
-    """``Hom(K(A; a^power), A)``, a free complex in degrees ``[0, n]``."""
-    return hom_complex(koszul_complex(a, power), ring_complex(a.ring))
+class KoszulTower:
+    """The Koszul power tower of one sequence up to ``depth``, built once.
 
+    ``stages[i]`` is ``K(A; a^(i+1))`` and ``down[i]`` the transition
+    ``K(A; a^(i+2)) -> K(A; a^(i+1))``; ``duals[i]`` is
+    ``Hom(stages[i], A)`` and ``up[i]`` the Hom-dual of ``down[i]``,
+    ``duals[i] -> duals[i+1]``.  Each list is built on first use and kept
+    for the tower's life, so a command that builds one tower and hands it to
+    every check builds each stage, dual and transition once.
+    """
 
-def dual_koszul_transition(a: IdealSpec, i: int, j: int,
-                           source: BoundedComplex | None = None,
-                           target: BoundedComplex | None = None) -> ComplexMorphism:
-    """Ind transition ``K_dual(A; a^i) -> K_dual(A; a^j)`` for ``i <= j``
-    (the Hom-dual of the Koszul stage map)."""
-    if i > j:
-        raise ValueError("dual transition requires i <= j")
-    down = koszul_transition(a, j, i)
-    src = source if source is not None else dual_koszul(a, i)
-    tgt = target if target is not None else dual_koszul(a, j)
-    return hom_of_source_map(down, ring_complex(a.ring), src, tgt)
+    def __init__(self, a: IdealSpec, depth: int):
+        if depth < 1:
+            raise ValueError("depth must be >= 1")
+        self.ideal = a
+        self.depth = depth
 
+    @cached_property
+    def stages(self) -> list:
+        return [koszul_complex(self.ideal, i) for i in range(1, self.depth + 1)]
 
-def koszul_cohomology_prosystem(a: IdealSpec, p: int, depth: int) -> ProSystem:
-    """The inverse system ``{H^p(K(A; a^i))}_{i <= depth}``."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    n = len(a.generators)
-    if not (-n <= p <= 0):
-        raise ValueError(f"degree {p} outside [-n, 0]")
-    stages = [koszul_complex(a, i) for i in range(1, depth + 1)]
-    objects = [cohomology(c, p) for c in stages]
-    transitions = []
-    for i in range(1, depth):
-        tr = koszul_transition(a, i + 1, i, source=stages[i], target=stages[i - 1])
-        transitions.append(induced_cohomology_map(tr, p, check=False))
-    return ProSystem(objects, transitions, check=False)
+    @cached_property
+    def down(self) -> list:
+        s = self.stages
+        return [koszul_transition(self.ideal, i + 1, i, s[i], s[i - 1])
+                for i in range(1, self.depth)]
+
+    @cached_property
+    def duals(self) -> list:
+        ring_cx = ring_complex(self.ideal.ring)
+        return [hom_complex(c, ring_cx) for c in self.stages]
+
+    @cached_property
+    def up(self) -> list:
+        ring_cx = ring_complex(self.ideal.ring)
+        d = self.duals
+        return [hom_of_source_map(t, ring_cx, d[i], d[i + 1])
+                for i, t in enumerate(self.down)]
+
+    def cohomology_prosystem(self, p: int) -> ProSystem:
+        """The inverse system ``{H^p(K(A; a^i))}_{i <= depth}``."""
+        n = len(self.ideal.generators)
+        if not (-n <= p <= 0):
+            raise ValueError(f"degree {p} outside [-n, 0]")
+        objects = [cohomology(c, p) for c in self.stages]
+        transitions = [induced_cohomology_map(t, p, check=False) for t in self.down]
+        return ProSystem(objects, transitions, check=False)
 
 
 @dataclass
@@ -129,21 +151,18 @@ class WprVerdict:
         return None
 
 
-def weak_proregularity_check(a: IdealSpec, depth: int = 4,
-                             window: int = 1) -> WprVerdict:
+def weak_proregularity_check(tower: KoszulTower, window: int = 1) -> WprVerdict:
     """Pro-zero check of every negative Koszul cohomology tower."""
-    if depth < 2:
+    if tower.depth < 2:
         raise ValueError("depth must be >= 2")
-    n = len(a.generators)
     per = {}
     ok = True
-    for p in range(-n, 0):
-        system = koszul_cohomology_prosystem(a, p, depth)
-        verdict = is_pro_zero(system, window)
+    for p in range(-len(tower.ideal.generators), 0):
+        verdict = is_pro_zero(tower.cohomology_prosystem(p), window)
         per[p] = verdict
         ok = ok and verdict.passed
-    return WprVerdict(ideal=a, depth=depth, window=window, per_degree=per,
-                      status="pass" if ok else "undetermined")
+    return WprVerdict(ideal=tower.ideal, depth=tower.depth, window=window,
+                      per_degree=per, status="pass" if ok else "undetermined")
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +175,6 @@ class RadicalInvarianceReport:
     exponent_bound: int
     first: WprVerdict
     second: WprVerdict
-
-    @property
-    def both_pass(self):
-        return self.first.passed and self.second.passed
 
 
 def _radical_contains(a: IdealSpec, b: IdealSpec, bound: int) -> bool:
@@ -192,15 +207,15 @@ def radical_invariance_suite(a: IdealSpec, b: IdealSpec, depth: int = 4,
         raise ValueError("radical comparability not established within bound")
     return RadicalInvarianceReport(
         radical_equal=True, exponent_bound=exponent_bound,
-        first=weak_proregularity_check(a, depth, window),
-        second=weak_proregularity_check(b, depth, window))
+        first=weak_proregularity_check(KoszulTower(a, depth), window),
+        second=weak_proregularity_check(KoszulTower(b, depth), window))
 
 
 # ---------------------------------------------------------------------------
 # copointed idempotence
 
 
-def _counit_map(dual: BoundedComplex, square: BoundedComplex, ring,
+def _counit_map(dual: BoundedComplex, square: BoundedComplex,
                 side: str) -> ComplexMorphism:
     """``rho (x) id`` (side="left") or ``id (x) rho`` (side="right") from
     ``dual (x) dual`` onto ``dual``, where ``rho`` is the degree-0 projection
@@ -221,25 +236,22 @@ class CopointedIdempotenceReport:
         return self.status == "pass"
 
 
-def copointed_idempotence_check(a: IdealSpec, depth: int = 4, window: int = 1,
-                                require_wpr: bool = True) -> CopointedIdempotenceReport:
+def copointed_idempotence_check(tower: KoszulTower,
+                                window: int = 1) -> CopointedIdempotenceReport:
     """Both counit contractions of the dual Koszul ind-system are tower
-    equivalences on every cohomology degree."""
-    ring = a.ring
+    equivalences on every cohomology degree.
+
+    The paper states this for a weakly proregular sequence; the caller
+    establishes that premise (``weak_proregularity_check`` on the same
+    tower) before it reads the verdict."""
+    a, depth = tower.ideal, tower.depth
     n = len(a.generators)
-    if require_wpr and n > 0:
-        wpr = weak_proregularity_check(a, depth, window)
-        if not wpr.passed:
-            raise ValueError("sequence did not pass the weak proregularity check")
-    duals = [dual_koszul(a, i) for i in range(1, depth + 1)]
+    duals = tower.duals
+    dual_trs = tower.up
     squares = [tensor_complexes(d, d) for d in duals]
-    dual_trs = []
-    square_trs = []
-    for i in range(1, depth):
-        tr = dual_koszul_transition(a, i, i + 1, source=duals[i - 1], target=duals[i])
-        dual_trs.append(tr)
-        square_trs.append(tensor_complex_morphisms(tr, tr, squares[i - 1], squares[i]))
-    counits = {side: [_counit_map(duals[i], squares[i], ring, side)
+    square_trs = [tensor_complex_morphisms(tr, tr, squares[i], squares[i + 1])
+                  for i, tr in enumerate(dual_trs)]
+    counits = {side: [_counit_map(duals[i], squares[i], side)
                       for i in range(depth)]
                for side in ("left", "right")}
     per_side = {"left": {}, "right": {}}

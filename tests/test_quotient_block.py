@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from proregular import groebner
-from proregular.fpmod import FpModule, free_module
+from proregular.fpmod import FpModule, _relations_among, free_module
 from proregular.groebner import (GraphBasis, TopOrder, columns_to_vectors,
                                  module_groebner, normal_form,
                                  reduced_module_groebner, vectors_to_columns)
@@ -115,6 +115,9 @@ def witness_ring(n):
     gens = [f"e{i}*x^{i}" for i in range(1, n + 1)]
     gens += [f"e{i}*e{j}" for i in range(1, n + 1) for j in range(i, n + 1)]
     return quotient_ring(base, gens)
+
+
+S16 = quotient_ring(BASES["F5"], ["x*y - z^2"])  # the ring of s16_f5_cone
 
 
 def block_columns(quot, rank):
@@ -245,3 +248,37 @@ def test_known_block_refuses_syzygies():
     with pytest.raises(ValueError):
         module_groebner(ring, vecs, TopOrder(ring.order), want_syzygies=True,
                         known=vecs)
+
+
+def test_kernel_coordinates_are_not_normal_forms():
+    """``kernel_of_columns`` works in the polynomial ring and leaves its
+    coordinates unreduced modulo ``I``: a syzygy can have terms and still be
+    zero in ``A/I``, such as ``-e3^2`` for the column ``x^2`` over A3 and
+    ``x*y - z^2`` for the column ``1`` over s16's ring.  So a zero test on
+    kernel coordinates over ``A/I`` needs a normal form."""
+    for quot, col, syzygy in ((witness_ring(3), "x^2", "-e3^2"), (S16, "1", "x*y - z^2")):
+        ring = quot.poly_ring
+        zero_in_quotient = [ring.parse(syzygy)]
+        assert zero_in_quotient in quot.kernel_of_columns([[quot.parse(col)]], 1)
+        assert zero_in_quotient[0].terms and zero_modulo_ideal(quot, zero_in_quotient)
+
+
+@SETTINGS
+@given(st.sampled_from(["A3", "s16"]), st.data())
+def test_relations_among_drops_exactly_the_heads_zero_modulo_the_ideal(name, data):
+    """Over A3 and s16's ring, on columns in normal form: every head that
+    ``_relations_among`` keeps is a relation and nonzero in ``A/I``, and
+    the kept heads span what all kernel heads span."""
+    quot = witness_ring(3) if name == "A3" else S16
+    ring = quot.poly_ring
+    rank = data.draw(st.integers(1, 2))
+    cols = [[quot.normalize(p) for p in c] for c in data.draw(
+        st.lists(st.lists(polys(ring), min_size=rank, max_size=rank),
+                 min_size=1, max_size=3))]
+    kept = _relations_among(quot, cols, free_module(quot, rank))
+    for h in kept:
+        assert not zero_modulo_ideal(quot, h)
+        assert zero_modulo_ideal(quot, combination(ring, cols, h, rank))
+    heads = [v[:len(cols)] for v in quot.kernel_of_columns(cols, rank)]
+    assert quot.canonical_columns(kept, len(cols)) == \
+        quot.canonical_columns(heads, len(cols))

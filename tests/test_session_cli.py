@@ -134,6 +134,9 @@ GOLDEN_RUNS = [
     # A4's certificate boundary: undetermined at depth 5, pass at depth 6
     (["wpr", sess("s06_witness_a4.session"), "--depth", "5"], 2),
     (["wpr", sess("s06_witness_a4.session"), "--depth", "6"], 0),
+    # mgm-check refuses A4 before its weak proregularity is established
+    (["mgm-check", sess("s17_witness_a4_module.session"), "--module", "R",
+      "--depth", "4"], 2),
 ]
 
 
@@ -244,6 +247,9 @@ PINNED_RUNS = [
     # the witness ring A4 on both sides of its certificate boundary
     ("wpr_s06_d5", ["wpr", sess("s06_witness_a4.session"), "--depth", "5"]),
     ("wpr_s06_d6", ["wpr", sess("s06_witness_a4.session"), "--depth", "6"]),
+    # mgm-check's weak proregularity precondition, not established on A4
+    ("mgm_s17_R", ["mgm-check", sess("s17_witness_a4_module.session"),
+                   "--module", "R", "--depth", "4"]),
 ]
 
 

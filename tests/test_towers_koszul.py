@@ -4,9 +4,8 @@ from proregular.complexes import cohomology
 from proregular.fpmod import (FpModule, IdealSpec, free_module,
                               identity_morphism, multiplication_morphism,
                               zero_module, zero_morphism)
-from proregular.koszul import (copointed_idempotence_check, dual_koszul,
-                               dual_koszul_transition, koszul_complex,
-                               koszul_cohomology_prosystem, koszul_transition,
+from proregular.koszul import (KoszulTower, copointed_idempotence_check,
+                               koszul_complex, koszul_transition,
                                radical_invariance_suite,
                                weak_proregularity_check)
 from proregular.rings import (integers, prime_poly_ring, quotient_ring,
@@ -108,19 +107,23 @@ def test_koszul_regular_sequence_acyclic():
         assert not cohomology(k, 0).is_zero()
 
 
+def _transition(a, j, i):
+    return koszul_transition(a, j, i, koszul_complex(a, j), koszul_complex(a, i))
+
+
 def test_koszul_transition_chain_map_and_powers():
     a = IdealSpec.make(ZZ, [2])
-    tr = koszul_transition(a, 3, 1)
+    tr = _transition(a, 3, 1)
     assert tr.map_at(0).matrix.entry(0, 0) == 1
     assert tr.map_at(-1).matrix.entry(0, 0) == 4  # 2^(3-1)
     # identity when j == i
-    tr2 = koszul_transition(a, 2, 2)
+    tr2 = _transition(a, 2, 2)
     assert tr2.map_at(-1).matrix.entry(0, 0) == 1
 
 
 def test_koszul_transition_two_elements_degree_minus2():
     a = IdealSpec.make(ZZ, [2, 3])
-    tr = koszul_transition(a, 3, 1)
+    tr = _transition(a, 3, 1)
     # degree -2 is multiplication by (2*3)^(3-1) = 36
     assert tr.map_at(-2).matrix.entry(0, 0) == 36
     # chain map property verified exactly
@@ -137,12 +140,12 @@ def test_koszul_transition_chain_property_random_pairs():
     for _ in range(4):
         i = rng.randint(1, 3)
         j = rng.randint(i, 4)
-        tr = koszul_transition(a, j, i)
+        tr = _transition(a, j, i)
         ComplexMorphism(tr.source, tr.target, tr.maps, check=True)
         # composite of adjacent steps equals the long transition
         if j > i:
-            step = koszul_transition(a, j, j - 1)
-            rest = koszul_transition(a, j - 1, i)
+            step = _transition(a, j, j - 1)
+            rest = _transition(a, j - 1, i)
             comp = rest.compose(step)
             for q in tr.source.degrees():
                 assert comp.map_at(q).sub(tr.map_at(q)).is_zero_morphism()
@@ -150,8 +153,9 @@ def test_koszul_transition_chain_property_random_pairs():
 
 def test_dual_koszul_shapes_and_h1():
     a = IdealSpec.make(ZZ, [2])
+    tower = KoszulTower(a, 3)
     for i in (1, 2, 3):
-        dk = dual_koszul(a, i)
+        dk = tower.duals[i - 1]
         assert dk.lo == 0 and dk.hi == 1
         assert cohomology(dk, 1).abelian_invariants() == (0, [2 ** i])
         assert cohomology(dk, 0).is_zero()
@@ -160,14 +164,15 @@ def test_dual_koszul_shapes_and_h1():
 def test_dual_koszul_ranks_xy():
     ring = rational_poly_ring(("x", "y"))
     a = IdealSpec.make(ring, ["x", "y"])
-    dk = dual_koszul(a, 2)
+    dk = KoszulTower(a, 2).duals[1]
     assert [dk.module(q).free_rank for q in dk.degrees()] == [1, 2, 1]
 
 
 def test_dual_koszul_transition_commutes():
     a = IdealSpec.make(ZZ, [2])
     from proregular.complexes import ComplexMorphism
-    tr = dual_koszul_transition(a, 1, 3)
+    tower = KoszulTower(a, 3)
+    tr = tower.up[1].compose(tower.up[0])
     ComplexMorphism(tr.source, tr.target, tr.maps, check=True)
     # H^1: Z/2 -> Z/8 multiplication by 4, injective
     from proregular.complexes import induced_cohomology_map
@@ -199,12 +204,14 @@ def test_h0_koszul_is_quotient_by_power_sequence():
 
 
 def test_wpr_z_single_prime():
-    v = weak_proregularity_check(IdealSpec.make(ZZ, [2]), depth=5, window=1)
+    v = weak_proregularity_check(KoszulTower(IdealSpec.make(ZZ, [2]), 5),
+                                 window=1)
     assert v.passed
 
 
 def test_wpr_z_4_6_depth5():
-    v = weak_proregularity_check(IdealSpec.make(ZZ, [4, 6]), depth=5, window=1)
+    v = weak_proregularity_check(KoszulTower(IdealSpec.make(ZZ, [4, 6]), 5),
+                                 window=1)
     assert v.passed
     certs = v.per_degree[-1].certificates
     assert certs[1] == 2 and certs[2] == 3 and certs[3] == 5
@@ -212,7 +219,7 @@ def test_wpr_z_4_6_depth5():
 
 def test_wpr_qxy_regular():
     ring = rational_poly_ring(("x", "y"))
-    v = weak_proregularity_check(IdealSpec.make(ring, ["x", "y"]), depth=4)
+    v = weak_proregularity_check(KoszulTower(IdealSpec.make(ring, ["x", "y"]), 4))
     assert v.passed
     for p, verdict in v.per_degree.items():
         for i in range(1, 4):
@@ -224,7 +231,8 @@ def test_wpr_witness_ring_undetermined():
     gens = ["e1*x", "e2*x^2", "e3*x^3", "e4*x^4"]
     gens += [f"e{i}*e{j}" for i in range(1, 5) for j in range(i, 5)]
     a4 = quotient_ring(base, gens)
-    v = weak_proregularity_check(IdealSpec.make(a4, ["x"]), depth=4, window=1)
+    v = weak_proregularity_check(KoszulTower(IdealSpec.make(a4, ["x"]), 4),
+                                 window=1)
     assert not v.passed
     p, verdict = v.witness()
     assert p == -1
@@ -237,10 +245,10 @@ def test_radical_invariance_pairs():
     rep = radical_invariance_suite(IdealSpec.make(ring, ["x", "y"]),
                                    IdealSpec.make(ring, ["x^2", "x*y", "y^3"]),
                                    depth=4)
-    assert rep.radical_equal and rep.both_pass
+    assert rep.radical_equal and rep.first.passed and rep.second.passed
     rep2 = radical_invariance_suite(IdealSpec.make(ZZ, [2]),
                                     IdealSpec.make(ZZ, [4]), depth=4)
-    assert rep2.both_pass
+    assert rep2.first.passed and rep2.second.passed
     a = IdealSpec.make(ZZ, [6])
     rep3 = radical_invariance_suite(a, a, depth=4)
     assert rep3.first.status == rep3.second.status
@@ -258,19 +266,21 @@ def test_radical_invariance_rejects_incomparable():
 
 
 def test_copointed_z2():
-    rep = copointed_idempotence_check(IdealSpec.make(ZZ, [2]), depth=5, window=1)
+    rep = copointed_idempotence_check(KoszulTower(IdealSpec.make(ZZ, [2]), 5),
+                                      window=1)
     assert rep.passed
 
 
 def test_copointed_qx():
     ring = rational_poly_ring(("x",))
-    rep = copointed_idempotence_check(IdealSpec.make(ring, ["x"]), depth=4,
+    rep = copointed_idempotence_check(KoszulTower(IdealSpec.make(ring, ["x"]), 4),
                                       window=1)
     assert rep.passed
 
 
 def test_copointed_empty_sequence():
-    rep = copointed_idempotence_check(IdealSpec.make(ZZ, []), depth=3, window=1)
+    rep = copointed_idempotence_check(KoszulTower(IdealSpec.make(ZZ, []), 3),
+                                      window=1)
     assert rep.passed
 
 
@@ -281,10 +291,11 @@ def test_copointed_h1_levelwise_bijections():
     from proregular.complexes import induced_cohomology_map
     from proregular.fpmod import kernel, cokernel
     a = IdealSpec.make(ZZ, [2])
+    tower = KoszulTower(a, 5)
     for i in (1, 2, 3, 4, 5):
-        dk = dual_koszul(a, i)
+        dk = tower.duals[i - 1]
         sq = tensor_complexes(dk, dk)
-        cu = _counit_map(dk, sq, ZZ, "left")
+        cu = _counit_map(dk, sq, "left")
         ind = induced_cohomology_map(cu, 1)
         assert kernel(ind)[0].is_zero()
         assert cokernel(ind)[0].is_zero()
