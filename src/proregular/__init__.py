@@ -18,7 +18,7 @@ from .rings import (IntegerRing, PolynomialRing, QuotientRing, integers,
                     prime_poly_ring, quotient_ring, rational_poly_ring)
 from .fpmod import (FpModule, IdealSpec, ModuleMorphism, annihilator_submodule,
                     cokernel, direct_sum, free_module, hom_module, ideal_power,
-                    image, is_zero, kernel, minimized, power_sequence,
+                    image, kernel, minimized, power_sequence,
                     quotient_module, tensor_module, zero_module)
 from .complexes import (BoundedComplex, ComplexMorphism, cohomology, cone,
                         hom_complex, is_quasi_iso, module_complex,

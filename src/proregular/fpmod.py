@@ -1,11 +1,15 @@
 """Finitely presented modules and their morphisms over any backend ring.
 
-A module is the cokernel of a presentation matrix (generators x relations);
-a morphism is a matrix on generators whose well-definedness is certified by
-span membership of the pushed-forward relations.  Kernels, images and
-cokernels come with their canonical inclusion/projection morphisms, and all
-subquotient constructions are minimized (unit-pivot pruning) so tower-level
-objects stay small.
+A module is the cokernel of a presentation matrix (generators x relations).
+Every module stores its relations in canonical form (``ring.canonical_columns``:
+a column HNF over Z, a reduced module Groebner basis over polynomials), so
+membership in their span -- is a column zero in the module? -- is a remainder
+against them (``FpModule.contains``), and equal spans have equal canonical
+forms.  A morphism is a matrix on generators whose well-definedness is
+certified by membership of the pushed-forward relations.  Kernels, images
+and cokernels come with their canonical inclusion/projection morphisms, and
+all subquotient constructions are minimized (unit-pivot pruning) so
+tower-level objects stay small.
 
 Over a quotient backend ``A/I`` the ring's matrix services work modulo
 ``I * A^r``, so all formulas below are backend-agnostic.  The canonical
@@ -91,10 +95,9 @@ def ideal_power(a: IdealSpec, i: int) -> IdealSpec:
 class FpModule:
     """Cokernel of a presentation matrix over a backend ring."""
 
-    __slots__ = ("ring", "ngens", "relations", "name", "free_rank", "_oracle")
+    __slots__ = ("ring", "ngens", "relations", "name", "free_rank", "_member")
 
-    def __init__(self, ring, ngens: int, relation_columns, name=None,
-                 canonical: bool = True, free_rank=None):
+    def __init__(self, ring, ngens: int, relation_columns, name=None, free_rank=None):
         self.ring = ring
         self.ngens = ngens
         cols = [[ring.coerce(x) for x in col] for col in relation_columns]
@@ -105,32 +108,25 @@ class FpModule:
         cols = [c for c in cols if any(map(nonzero, c))]
         if free_rank is None and not cols:
             free_rank = ngens
-        if canonical:
-            cols = ring.canonical_columns(cols, ngens)
+        cols = ring.canonical_columns(cols, ngens)
         self.relations = mat_from_cols([tuple(c) for c in cols], ngens)
         self.name = name
         self.free_rank = free_rank
-        self._oracle = None
+        self._member = None
 
     # -- plumbing -----------------------------------------------------------
 
-    def relation_oracle(self):
-        if self._oracle is None:
-            self._oracle = self.ring.span_oracle(
-                [list(self.relations.col(j)) for j in range(self.relations.ncols)],
-                self.ngens)
-        return self._oracle
+    def contains(self, col) -> bool:
+        """Is ``col`` (an element of the free module on the generators) in the
+        span of the relations, that is, zero in this module?"""
+        if self._member is None:
+            self._member = self.ring.canonical_member(self.relations.cols(), self.ngens)
+        return self._member(col)
 
     def is_zero(self) -> bool:
-        if self.ngens == 0:
-            return True
-        oracle = self.relation_oracle()
         one, zero = self.ring.one(), self.ring.zero()
-        for k in range(self.ngens):
-            e = [one if t == k else zero for t in range(self.ngens)]
-            if not oracle.member(e):
-                return False
-        return True
+        return all(self.contains([one if t == k else zero for t in range(self.ngens)])
+                   for k in range(self.ngens))
 
     def __repr__(self):
         label = self.name or "FpModule"
@@ -168,10 +164,6 @@ def zero_module(ring) -> FpModule:
     return FpModule(ring, 0, [], name="0", free_rank=0)
 
 
-def is_zero(m: FpModule) -> bool:
-    return m.is_zero()
-
-
 # ---------------------------------------------------------------------------
 # morphisms
 
@@ -198,14 +190,12 @@ class ModuleMorphism:
         if self.source.relations.ncols == 0 or self.target.ngens == 0:
             return True
         pushed = ring_matmul(self.source.ring, self.matrix, self.source.relations)
-        oracle = self.target.relation_oracle()
-        return all(oracle.member(list(pushed.col(j))) for j in range(pushed.ncols))
+        return all(map(self.target.contains, pushed.cols()))
 
     def is_zero_morphism(self) -> bool:
         if self.target.ngens == 0 or self.source.ngens == 0:
             return True
-        oracle = self.target.relation_oracle()
-        return all(oracle.member(list(self.matrix.col(j))) for j in range(self.matrix.ncols))
+        return all(map(self.target.contains, self.matrix.cols()))
 
     def compose(self, other: "ModuleMorphism") -> "ModuleMorphism":
         """self o other (apply ``other`` first)."""
@@ -267,11 +257,19 @@ def minimized(m: FpModule):
 
     Returns ``(small, to_small, from_small)`` where ``to_small: m -> small``
     and ``from_small: small -> m`` are mutually inverse isomorphisms.
+
+    A pivot is a unit ``u`` at ``(i, j)`` of the canonical relations; its
+    relation gives ``e_i = -u^{-1} * sum_{k != i} rel[k][j] e_k``.  So the
+    projection onto the other generators adds ``-u^{-1} rel[k][j]`` times
+    row ``i`` to each kept row ``k`` of ``to_small``, and the inclusion
+    drops column ``i`` of ``from_small``.
     """
     ring = m.ring
+    nonzero = structurally_nonzero(ring)
+    mul, add, sub = ring.mul, ring.add, ring.sub
     cur = m
-    to_small = identity_morphism(m)
-    from_small = identity_morphism(m)
+    to_rows = [list(r) for r in ring_identity(ring, m.ngens).rows]
+    from_rows = [list(r) for r in to_rows]
     while True:
         rel = cur.relations
         pivot = None
@@ -287,38 +285,35 @@ def minimized(m: FpModule):
         i, j = pivot
         u_inv = ring.unit_inv(rel.entry(i, j))
         keep = [k for k in range(cur.ngens) if k != i]
-        # substitute e_i = -u^{-1} * sum_{k != i} rel[k][j] e_k
+        pivot_col = rel.col(j)
         new_cols = []
         for c in range(rel.ncols):
             if c == j:
                 continue
-            f = ring.mul(rel.entry(i, c), u_inv)
-            col = [ring.sub(rel.entry(k, c), ring.mul(f, rel.entry(k, j))) for k in keep]
-            new_cols.append(col)
-        nxt = FpModule(ring, len(keep), new_cols)
-        # projection cur -> nxt
-        proj_rows = []
-        for r, k in enumerate(keep):
-            row = []
-            for s in range(cur.ngens):
-                if s == k:
-                    row.append(ring.one())
-                elif s == i:
-                    row.append(ring.neg(ring.mul(u_inv, rel.entry(k, j))))
-                else:
-                    row.append(ring.zero())
-            proj_rows.append(tuple(row))
-        proj = ModuleMorphism(cur, nxt, Mat(len(keep), cur.ngens, tuple(proj_rows)), check=False)
-        # inclusion nxt -> cur (choose representatives e_k)
-        incl_rows = []
-        for s in range(cur.ngens):
-            row = [ring.one() if s == k else ring.zero() for k in keep]
-            incl_rows.append(tuple(row))
-        incl = ModuleMorphism(nxt, cur, Mat(cur.ngens, len(keep), tuple(incl_rows)), check=False)
-        to_small = proj.compose(to_small)
-        from_small = from_small.compose(incl)
-        cur = nxt
-    return cur, to_small, from_small
+            col = rel.col(c)
+            if nonzero(col[i]):
+                f = mul(col[i], u_inv)
+                new_cols.append([sub(col[k], mul(f, pivot_col[k])) for k in keep])
+            else:
+                new_cols.append([col[k] for k in keep])
+        row_i = [(t, x) for t, x in enumerate(to_rows[i]) if nonzero(x)]
+        rows = []
+        for k in keep:
+            row = list(to_rows[k])
+            if nonzero(pivot_col[k]):
+                f = ring.neg(mul(u_inv, pivot_col[k]))
+                for t, x in row_i:
+                    p = mul(f, x)
+                    row[t] = add(row[t], p) if nonzero(row[t]) else p
+            rows.append(row)
+        to_rows = rows
+        for row in from_rows:
+            del row[i]
+        cur = FpModule(ring, len(keep), new_cols)
+    to_small = Mat(cur.ngens, m.ngens, tuple(map(tuple, to_rows)))
+    from_small = Mat(m.ngens, cur.ngens, tuple(map(tuple, from_rows)))
+    return (cur, ModuleMorphism(m, cur, to_small, check=False),
+            ModuleMorphism(cur, m, from_small, check=False))
 
 
 # ---------------------------------------------------------------------------
@@ -413,14 +408,13 @@ def factor_through(gens: Mat, target: FpModule, want: Mat, message: str,
 
 
 def submodules_equal(parent: FpModule, cols_a, cols_b) -> bool:
-    """Equality of the two spans as submodules of ``parent``."""
+    """Equality of the two spans as submodules of ``parent``: canonical forms
+    are unique, so the spans are equal when their canonical forms, with the
+    relations of ``parent``, are."""
     ring = parent.ring
-    rel = parent.relations
-    rel_cols = [list(rel.col(j)) for j in range(rel.ncols)]
-    oracle_a = ring.span_oracle([list(c) for c in cols_a] + rel_cols, parent.ngens)
-    oracle_b = ring.span_oracle([list(c) for c in cols_b] + rel_cols, parent.ngens)
-    return all(oracle_b.member(list(c)) for c in cols_a) and \
-        all(oracle_a.member(list(c)) for c in cols_b)
+    rel = parent.relations.cols()
+    return ring.canonical_columns(list(cols_a) + rel, parent.ngens) == \
+        ring.canonical_columns(list(cols_b) + rel, parent.ngens)
 
 
 # ---------------------------------------------------------------------------

@@ -376,10 +376,6 @@ def normal_form(f: Poly, gb: GroebnerBasis) -> Poly:
     return Poly(gb.ring, [(e, c) for (_, e), c in out.items()])
 
 
-def ideal_member(f: Poly, gb: GroebnerBasis) -> bool:
-    return normal_form(f, gb).is_zero()
-
-
 # ---------------------------------------------------------------------------
 # syzygies and solving by the graph method
 
@@ -387,11 +383,13 @@ def ideal_member(f: Poly, gb: GroebnerBasis) -> bool:
 class GraphBasis:
     """Groebner data for the graph ``{col_j (+) e_j}`` of a column list.
 
-    Supports membership in the column span, exact solving ``A x = b`` with
-    polynomial coefficients, and extraction of the syzygy module (elements
-    of the basis whose first block vanishes).  ``known`` is a Groebner basis
-    of first-block vectors that joins the span with no ``e_j`` tail: solving
-    and syzygies are then modulo its span, and report only the columns.
+    Supports exact solving ``A x = b`` with polynomial coefficients and
+    extraction of the syzygy module (elements of the basis whose first block
+    vanishes); both need the ``e_j`` tails, so membership alone is better
+    asked of a reduced basis of the span, as a zero remainder.  ``known`` is
+    a Groebner basis of first-block vectors that joins the span with no
+    ``e_j`` tail: solving and syzygies are then modulo its span, and report
+    only the columns.
     """
 
     def __init__(self, ring: PolyRing, cols, nrows: int, known=()):
@@ -412,35 +410,20 @@ class GraphBasis:
         self._reducer = _Reducer(ring, self.order, [self.basis[t] for t in first],
                                  [leads[t] for t in first])
 
-    def _reduce_tracking(self, target_col):
-        """Reduce ``target (+) 0``; returns ``(first_block_residue, cofactor)``.
+    def solve(self, target_col):
+        """Coefficients ``x`` with ``sum x_j col_j = target``, or ``None``.
 
-        Under the elimination order a lead in the second block has no first
-        block left to reduce, so the remainder splits into the first-block
-        residue and the negated cofactor."""
+        ``target (+) 0`` is reduced.  Under the elimination order a lead in
+        the second block has no first block left to reduce, so the remainder
+        is a first-block residue, which must vanish, and the negated
+        cofactor."""
         field = self.ring.field
         v = columns_to_vectors(self.ring, [list(target_col)])[0]
-        first = {}
-        cof = {}
+        out = [dict() for _ in range(self.ncols)]
         for (pos, exp), c in self._reducer.reduce(v).items():
             if pos < self.nrows:
-                first[(pos, exp)] = c
-            else:
-                cof[(pos - self.nrows, exp)] = field.neg(c)
-        return first, cof
-
-    def member(self, target_col) -> bool:
-        first, _ = self._reduce_tracking(target_col)
-        return not first
-
-    def solve(self, target_col):
-        """Coefficients ``x`` with ``sum x_j col_j = target``, or ``None``."""
-        first, cof = self._reduce_tracking(target_col)
-        if first:
-            return None
-        out = [dict() for _ in range(self.ncols)]
-        for (j, e), c in cof.items():
-            out[j][e] = c
+                return None
+            out[pos - self.nrows][exp] = field.neg(c)
         return [self.ring.from_terms(d.items()) for d in out]
 
     def syzygy_columns(self):

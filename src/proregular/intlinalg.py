@@ -9,7 +9,8 @@ unimodular row/column operations.  The three workhorses are
 * ``smith_normal_form``  -- ``U*M*V = D`` diagonal with the divisibility
   chain ``d1 | d2 | ...``, nonnegative entries and zeros trailing,
 * ``column_style_hermite`` -- the transposed variant ``M*V = H`` used for
-  solving, membership and kernel computations.
+  solving and kernel computations; ``hnf_solver`` back-substitutes through
+  the pivots of a column HNF, so a stored one answers membership as it is.
 
 All matrices are immutable ``Mat`` values; operations return new objects.
 """
@@ -315,6 +316,31 @@ def kernel_basis(m: Mat) -> Mat:
     return mat_from_cols(cols, m.ncols)
 
 
+def hnf_solver(h: Mat):
+    """Back-substitution through the pivots of ``H``, a column HNF: returns a
+    function that maps a target column ``b`` to the coordinates ``y`` with
+    ``H y = b``, or to ``None`` when ``b`` is not in the column span."""
+    pivots = []
+    for j in range(h.ncols):
+        i = next((i for i in range(h.nrows) if h.entry(i, j) != 0), None)
+        if i is not None:
+            pivots.append((i, j))
+
+    def coordinates(b):
+        target = list(b)
+        y = [0] * h.ncols
+        for i, j in pivots:
+            q, rem = divmod(target[i], h.entry(i, j))
+            if rem != 0:
+                return None
+            if q:
+                y[j] = q
+                for r in range(h.nrows):
+                    target[r] -= q * h.entry(r, j)
+        return None if any(target) else y
+    return coordinates
+
+
 def solve_columns(m: Mat, b: Mat):
     """Solve ``M X = B`` over the integers; return ``X`` or ``None``.
 
@@ -323,33 +349,15 @@ def solve_columns(m: Mat, b: Mat):
     if b.nrows != m.nrows:
         raise ValueError("shape mismatch in solve")
     h, v = column_style_hermite(m)
-    # pivot position for each column of h
-    pivots = []
-    for j in range(h.ncols):
-        i = next((i for i in range(h.nrows) if h.entry(i, j) != 0), None)
-        if i is not None:
-            pivots.append((i, j))
+    coordinates = hnf_solver(h)
     xcols = []
     for jb in range(b.ncols):
-        target = list(b.col(jb))
-        y = [0] * h.ncols
-        for (i, j) in pivots:
-            q, rem = divmod(target[i], h.entry(i, j))
-            if rem != 0:
-                return None
-            y[j] = q
-            for r in range(m.nrows):
-                target[r] -= q * h.entry(r, j)
-        if any(target):
+        y = coordinates(b.col(jb))
+        if y is None:
             return None
         xcols.append(tuple(sum(v.entry(r, j) * y[j] for j in range(h.ncols))
                            for r in range(m.ncols)))
     return mat_from_cols(xcols, m.ncols)
-
-
-def column_span_contains(m: Mat, target: tuple) -> bool:
-    """Is ``target`` an integer combination of the columns of ``M``?"""
-    return solve_columns(m, mat_from_cols([target], m.nrows)) is not None
 
 
 def canonical_column_form(m: Mat) -> Mat:

@@ -26,7 +26,7 @@ from .complexes import (BoundedComplex, ComplexMorphism, block_identity_map,
                         cohomology, hom_complex, hom_of_source_map,
                         identity_complex_morphism, induced_cohomology_map,
                         ring_complex, tensor_complexes, tensor_complex_morphisms)
-from .fpmod import (IdealSpec, free_module, identity_morphism,
+from .fpmod import (FpModule, IdealSpec, free_module, identity_morphism,
                     multiplication_morphism, power_sequence)
 from .towers import (IndSystem, ProSystem, SystemMap, is_pro_zero,
                      tower_equivalence)
@@ -180,17 +180,14 @@ class RadicalInvarianceReport:
 def _radical_contains(a: IdealSpec, b: IdealSpec, bound: int) -> bool:
     """Does every generator of ``b`` have a power inside ``(a)``?"""
     ring = a.ring
-    cols = [[g] for g in a.generators]
-    oracle = ring.span_oracle(cols, 1)
+    ideal = FpModule(ring, 1, [[g] for g in a.generators])
     for g in b.generators:
-        ok = False
         p = ring.one()
         for _ in range(bound):
             p = ring.mul(p, g)
-            if oracle.member([p]):
-                ok = True
+            if ideal.contains([p]):
                 break
-        if not ok:
+        else:
             return False
     return True
 

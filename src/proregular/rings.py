@@ -1,14 +1,16 @@
 """Backend rings: the integers, polynomial rings over Q/F_p, and quotients.
 
-A ring descriptor bundles element arithmetic with the three matrix services
-every module computation reduces to:
+A ring descriptor bundles element arithmetic with the matrix services every
+module computation reduces to:
 
-* ``span_oracle(cols, nrows)`` -- membership / exact solving / syzygies for
-  the column span of a matrix (Hermite form over Z, Groebner graph bases
-  over polynomial backends),
-* ``kernel_of_columns`` -- generators of ``{v : sum v_j col_j = 0}``,
 * ``canonical_columns`` -- a canonical generating set of the column span
-  (column HNF over Z, reduced module Groebner basis over polynomials).
+  (column HNF over Z, reduced module Groebner basis over polynomials),
+* ``canonical_member(cols, nrows)`` -- membership in the span of such a
+  canonical set: back-substitution through the HNF's pivots over Z, a zero
+  remainder against the reduced basis over polynomials; no S-pair is formed,
+* ``span_oracle(cols, nrows)`` -- exact solving and syzygies for the span of
+  any columns (Hermite form over Z, Groebner graph bases over polynomials),
+* ``kernel_of_columns`` -- generators of ``{v : sum v_j col_j = 0}``.
 
 Quotient rings ``A/I`` reuse the polynomial engine: elements are stored as
 normal forms modulo the reduced Groebner basis ``ideal_gb`` of ``I``, and
@@ -37,11 +39,11 @@ entry is put through a quotient ring's normal form.
 from __future__ import annotations
 
 from .fieldlinalg import PrimeField, RationalField
-from .groebner import (GraphBasis, TopOrder, groebner_basis, normal_form,
-                       reduced_module_groebner, columns_to_vectors,
+from .groebner import (GraphBasis, TopOrder, _Reducer, groebner_basis, normal_form,
+                       reduced_module_groebner, columns_to_vectors, vec_lead,
                        vectors_to_columns)
-from .intlinalg import (Mat, canonical_column_form, kernel_basis, mat_from_cols,
-                        solve_columns)
+from .intlinalg import (Mat, canonical_column_form, hnf_solver, kernel_basis,
+                        mat_from_cols, solve_columns)
 from .poly import PolyRing
 
 
@@ -55,9 +57,6 @@ class _ZSpanOracle:
     def __init__(self, cols, nrows):
         self.nrows = nrows
         self.m = mat_from_cols([tuple(c) for c in cols], nrows)
-
-    def member(self, target) -> bool:
-        return solve_columns(self.m, mat_from_cols([tuple(target)], self.nrows)) is not None
 
     def solve(self, target):
         x = solve_columns(self.m, mat_from_cols([tuple(target)], self.nrows))
@@ -141,6 +140,12 @@ class IntegerRing:
             return []
         h = canonical_column_form(mat_from_cols([tuple(c) for c in cols], nrows))
         return [list(h.col(j)) for j in range(h.ncols)]
+
+    def canonical_member(self, cols, nrows):
+        """Membership in the span of ``cols``, a column HNF as
+        ``canonical_columns`` returns it."""
+        coordinates = hnf_solver(mat_from_cols([tuple(c) for c in cols], nrows))
+        return lambda col: coordinates(col) is not None
 
     def __eq__(self, other):
         return isinstance(other, IntegerRing)
@@ -257,6 +262,16 @@ class PolynomialRing:
                                             known=basis)
         return vectors_to_columns(self.poly_ring, basis, nrows)
 
+    def canonical_member(self, cols, nrows):
+        """Membership in the span of ``cols``, a reduced ``TopOrder`` Groebner
+        basis as ``canonical_columns`` returns it: a column is a member when
+        its remainder is 0 (over ``A/I`` the basis holds the block, so the
+        remainder is taken modulo ``I * A^nrows``)."""
+        order = TopOrder(self.order)
+        vecs = columns_to_vectors(self.poly_ring, cols)
+        reducer = _Reducer(self.poly_ring, order, vecs, [vec_lead(order, v) for v in vecs])
+        return lambda col: not reducer.reduce(columns_to_vectors(self.poly_ring, [col])[0])
+
     def __eq__(self, other):
         return isinstance(other, PolynomialRing) and not isinstance(other, QuotientRing) \
             and other.poly_ring == self.poly_ring
@@ -319,12 +334,10 @@ class QuotientRing(PolynomialRing):
         return self.is_zero(self.poly_ring.sub(a, b))
 
     def is_unit(self, a) -> bool:
-        # sound but partial: recognizes nonzero constants in normal form.
-        # Zero and the elements of ``ideal_gb`` normalize to 0, also in the
-        # zero ring (``ideal_gb`` = (1)), so they are answered with no normal form
-        if not a.terms or a in self._ideal_polys:
-            return False
-        return self.poly_ring.is_unit(self.normalize(a))
+        # sound but partial: recognizes nonzero constants, with no normal
+        # form.  ``ideal_gb`` is 0 in ``A/I``, also in the zero ring; any other
+        # canonical relation entry is a unit exactly when its normal form is
+        return a not in self._ideal_polys and self.poly_ring.is_unit(a)
 
     def parse(self, text: str):
         return self.normalize(self.poly_ring.parse(text))

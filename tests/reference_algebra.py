@@ -4,13 +4,16 @@
 S-polynomial, written without the module layer's ``_Reducer``; ``rref`` and
 ``rank`` are Gaussian elimination over a field;
 ``stabilized_koszul_level_zero`` is the torsion submodule read off the
-level-0 Koszul chain instead of the ideal-power chain of ``gamma``.
-Nothing under ``src/`` uses them.
+level-0 Koszul chain instead of the ideal-power chain of ``gamma``;
+``minimized_by_composition`` prunes unit pivots by composing whole
+morphisms through ``ring_matmul`` at every pivot, and tests every entry for
+a unit through its normal form.  Nothing under ``src/`` uses them.
 """
 
 from __future__ import annotations
 
-from proregular.fpmod import FpModule, IdealSpec, power_sequence
+from proregular.fpmod import (FpModule, IdealSpec, ModuleMorphism, identity_morphism,
+                              power_sequence)
 from proregular.intlinalg import Mat
 from proregular.poly import Poly, PolyRing, mono_div, mono_divides, mono_lcm, mono_mul
 from proregular.torsion import _stable_annihilator
@@ -86,3 +89,57 @@ def stabilized_koszul_level_zero(m: FpModule, a: IdealSpec,
     """
     return _stable_annihilator(m, lambda i: power_sequence(a, i).generators,
                                max_stabilization, "Koszul level-0 chain")
+
+
+def minimized_by_composition(m: FpModule):
+    """``(small, to_small, from_small)`` as ``fpmod.minimized`` gives them:
+    at each pivot the projection and the inclusion are built as morphisms
+    and composed with the ones so far."""
+    ring = m.ring
+    cur = m
+    to_small = identity_morphism(m)
+    from_small = identity_morphism(m)
+    while True:
+        rel = cur.relations
+        pivot = None
+        for j in range(rel.ncols):
+            for i in range(rel.nrows):
+                if ring.is_unit(ring.normalize(rel.entry(i, j))):
+                    pivot = (i, j)
+                    break
+            if pivot:
+                break
+        if pivot is None:
+            break
+        i, j = pivot
+        u_inv = ring.unit_inv(rel.entry(i, j))
+        keep = [k for k in range(cur.ngens) if k != i]
+        # substitute e_i = -u^{-1} * sum_{k != i} rel[k][j] e_k
+        new_cols = []
+        for c in range(rel.ncols):
+            if c == j:
+                continue
+            f = ring.mul(rel.entry(i, c), u_inv)
+            new_cols.append([ring.sub(rel.entry(k, c), ring.mul(f, rel.entry(k, j)))
+                             for k in keep])
+        nxt = FpModule(ring, len(keep), new_cols)
+        proj_rows = []
+        for k in keep:
+            row = []
+            for s in range(cur.ngens):
+                if s == k:
+                    row.append(ring.one())
+                elif s == i:
+                    row.append(ring.neg(ring.mul(u_inv, rel.entry(k, j))))
+                else:
+                    row.append(ring.zero())
+            proj_rows.append(tuple(row))
+        proj = ModuleMorphism(cur, nxt, Mat(len(keep), cur.ngens, tuple(proj_rows)),
+                              check=False)
+        incl_rows = tuple(tuple(ring.one() if s == k else ring.zero() for k in keep)
+                          for s in range(cur.ngens))
+        incl = ModuleMorphism(nxt, cur, Mat(cur.ngens, len(keep), incl_rows), check=False)
+        to_small = proj.compose(to_small)
+        from_small = from_small.compose(incl)
+        cur = nxt
+    return cur, to_small, from_small

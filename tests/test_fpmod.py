@@ -6,7 +6,7 @@ import pytest
 from proregular.fpmod import (FpModule, IdealSpec, ModuleError, ModuleMorphism,
                               annihilator_submodule, cokernel, direct_sum,
                               free_module, hom_module, ideal_power,
-                              identity_morphism, image, is_zero, kernel,
+                              identity_morphism, image, kernel,
                               minimized, multiplication_morphism,
                               power_sequence, quotient_module,
                               submodules_equal, tensor_module, zero_module,
@@ -91,7 +91,7 @@ def test_ideal_power_4_6():
     assert p2.generators == (16, 24, 36)
     # 4 = gcd(16,24,36) generates the same ideal: 4 must lie in it
     oracle = ZZ.span_oracle([[g] for g in p2.generators], 1)
-    assert oracle.member([4])
+    assert oracle.solve([4]) is not None
 
 
 def test_zero_generators_dropped():
@@ -115,14 +115,14 @@ def test_power_containments():
             [[ring.mul(p, q)] for p in ideal_power(a, i).generators
              for q in ideal_power(a, j).generators], 1)
         for g in big.generators:
-            assert prod_oracle.member([g])
+            assert prod_oracle.solve([g]) is not None
     # elementwise powers of ideal_power(a, n*i) reduce into power_sequence span
     n = len(a.generators)
     for i in (1, 2):
         seq_oracle = ring.span_oracle(
             [[g] for g in power_sequence(a, i).generators], 1)
         for g in ideal_power(a, n * i).generators:
-            assert seq_oracle.member([g])
+            assert seq_oracle.solve([g]) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -130,16 +130,16 @@ def test_power_containments():
 
 
 def test_is_zero_examples():
-    assert is_zero(FpModule(ZZ, 1, [[1]]))
-    assert not is_zero(zmod(6))
-    assert is_zero(zero_module(ZZ))
+    assert FpModule(ZZ, 1, [[1]]).is_zero()
+    assert not zmod(6).is_zero()
+    assert zero_module(ZZ).is_zero()
 
 
 def test_kernel_cokernel_mult_by_two():
     z = free_module(ZZ, 1)
     phi = multiplication_morphism(z, 2)
     k, _ = kernel(phi)
-    assert is_zero(k)
+    assert k.is_zero()
     c, proj = cokernel(phi)
     assert c.abelian_invariants() == (0, [2])
     assert proj.matrix.nrows == c.ngens
@@ -149,7 +149,7 @@ def test_kernel_cokernel_identity():
     m = zmod(12)
     k, _ = kernel(identity_morphism(m))
     c, _ = cokernel(identity_morphism(m))
-    assert is_zero(k) and is_zero(c)
+    assert k.is_zero() and c.is_zero()
 
 
 def test_image_kernel_exactness_random():
@@ -234,9 +234,9 @@ def test_annihilator_trivial_cases():
     ring = rational_poly_ring(("x",))
     ax = IdealSpec.make(ring, ["x"])
     s, _ = annihilator_submodule(free_module(ring, 1), ax, 1)
-    assert is_zero(s)
+    assert s.is_zero()
     s2, _ = annihilator_submodule(zero_module(ZZ), IdealSpec.make(ZZ, [3]), 1)
-    assert is_zero(s2)
+    assert s2.is_zero()
 
 
 def test_minimized_isomorphism_maps():
@@ -271,8 +271,8 @@ def test_kernel_cokernel_mult_x_on_qx_mod_x2():
     k, _ = kernel(phi)
     c, _ = cokernel(phi)
     # kernel = (x)/(x^2), a 1-dim Q-space; cokernel = A/(x)
-    assert k.ngens == 1 and not is_zero(k)
-    assert c.ngens == 1 and not is_zero(c)
+    assert k.ngens == 1 and not k.is_zero()
+    assert c.ngens == 1 and not c.is_zero()
     xk = multiplication_morphism(k, x)
     assert xk.is_zero_morphism()
     xc = multiplication_morphism(c, x)
@@ -283,7 +283,7 @@ def test_is_zero_unit_relation_poly():
     ring = rational_poly_ring(("x", "y"))
     m = FpModule(ring, 2, [["x", "1"], ["1", "0"]])
     # second relation kills e_1; first then kills e_2 via x*e_1 + e_2 = 0
-    assert is_zero(m)
+    assert m.is_zero()
 
 
 def test_quotient_backend_arithmetic():
@@ -295,7 +295,7 @@ def test_quotient_backend_arithmetic():
     phi = multiplication_morphism(m, q.parse("x"))
     k, incl = kernel(phi)
     # ann(x) in A/(e1 x, e1^2) is generated by e1
-    assert not is_zero(k)
+    assert not k.is_zero()
     cols = [list(incl.matrix.col(j)) for j in range(incl.matrix.ncols)]
     assert submodules_equal(m, cols, [[q.parse("e1")]])
 
@@ -304,5 +304,5 @@ def test_fp_backend_module():
     ring = prime_poly_ring(5, ("x", "y", "z"))
     a = IdealSpec.make(ring, ["x", "y", "z"])
     q = quotient_module(a, 1)
-    assert not is_zero(q)
+    assert not q.is_zero()
     assert q.relations.ncols == 3
