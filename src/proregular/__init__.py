@@ -12,27 +12,24 @@ from .intlinalg import (Mat, SnfResult, hermite_normal_form, kernel_basis,
                         smith_normal_form)
 from .fieldlinalg import PrimeField, RationalField
 from .poly import MonomialOrder, Poly, PolyRing
-from .groebner import GroebnerBasis, groebner_basis, normal_form, \
-    syzygies_of_columns
+from .groebner import GroebnerBasis, groebner_basis, normal_form
 from .rings import (IntegerRing, PolynomialRing, QuotientRing, integers,
                     prime_poly_ring, quotient_ring, rational_poly_ring)
-from .fpmod import (FpModule, IdealSpec, ModuleMorphism, annihilator_submodule,
-                    cokernel, direct_sum, free_module, hom_module, ideal_power,
-                    image, kernel, minimized, power_sequence,
+from .fpmod import (FpModule, IdealSpec, ModuleMorphism, cokernel, direct_sum,
+                    free_module, ideal_power, kernel, minimized, power_sequence,
                     quotient_module, tensor_module, zero_module)
 from .complexes import (BoundedComplex, ComplexMorphism, cohomology, cone,
-                        hom_complex, is_quasi_iso, module_complex,
-                        ring_complex, shift, tensor_complexes)
-from .resolutions import FreeResolution, ext_module, free_resolution
+                        hom_complex, module_complex, ring_complex,
+                        tensor_complexes)
+from .resolutions import FreeResolution, free_resolution
 from .towers import (IndSystem, ProSystem, SystemMap, is_pro_zero,
                      tower_equivalence, vanishing_check)
 from .koszul import (KoszulTower, copointed_idempotence_check, koszul_complex,
-                     koszul_transition, radical_invariance_suite,
-                     weak_proregularity_check)
+                     koszul_transition, weak_proregularity_check)
 from .torsion import (completion_tower, derived_completion_tower,
-                      ext_torsion_tower, gamma, gamma_idempotence,
-                      koszul_torsion_tower, mgm_check, profinite_tower)
+                      ext_torsion_tower, gamma, koszul_torsion_tower, mgm_check,
+                      profinite_tower)
 from .zmodclass import (ZModClass, injective_torsion_acyclicity_test,
-                        weak_stability_check, zmod_ext1, zmod_gamma, zmod_hom)
+                        weak_stability_check, zmod_ext1, zmod_gamma)
 
 __version__ = "0.1.0"

@@ -96,7 +96,7 @@ def _transition_flags(system) -> list:
     out = []
     for tr in system.transitions:
         k, _ = kernel(tr)
-        c, _ = cokernel(tr)
+        c, _, _ = cokernel(tr)
         out.append({"injective": k.is_zero(), "surjective": c.is_zero()})
     return out
 

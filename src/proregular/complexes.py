@@ -6,8 +6,6 @@ Sign conventions, fixed once and used everywhere:
   ``x`` of degree ``i``;
 * Hom differential      ``d(f) = d_D o f - (-1)^k f o d_C``          for
   ``f`` of total degree ``k``;
-* shift                 ``C[k]^q = C^{q+k}`` with differential scaled by
-  ``(-1)^k``;
 * cone of ``phi: C -> D``  has ``cone^q = C^{q+1} (+) D^q`` and
   ``d = [[-d_C, 0], [phi, d_D]]``.
 
@@ -19,9 +17,7 @@ computable.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .fpmod import (FpModule, ModuleMorphism, cokernel_with_section, direct_sum,
+from .fpmod import (FpModule, ModuleMorphism, cokernel, direct_sum,
                     factor_through, free_module, identity_morphism, kernel,
                     tensor_module, zero_module, zero_morphism)
 from .intlinalg import Mat
@@ -44,7 +40,7 @@ class BoundedComplex:
         modules = list(modules)
         diffs = list(diffs)
         if len(modules) == 0:
-            raise ComplexError("empty complex; use zero_complex")
+            raise ComplexError("empty complex; use module_complex(zero_module(ring))")
         if len(diffs) != len(modules) - 1:
             raise ComplexError("need exactly one differential per adjacent pair")
         self.ring = ring
@@ -89,10 +85,6 @@ def module_complex(m: FpModule, degree: int = 0) -> BoundedComplex:
 
 def ring_complex(ring) -> BoundedComplex:
     return module_complex(free_module(ring, 1))
-
-
-def zero_complex(ring) -> BoundedComplex:
-    return module_complex(zero_module(ring))
 
 
 class ComplexMorphism:
@@ -150,14 +142,14 @@ def cohomology_data(c: BoundedComplex, q: int):
     k, incl = kernel(c.diff(q))
     prev = c.diff(q - 1)
     if prev.source.ngens == 0 or k.ngens == 0:
-        h, proj, section = cokernel_with_section(zero_morphism(zero_module(ring), k))
+        h, _, section = cokernel(zero_morphism(zero_module(ring), k))
     else:
         # lift image columns of d^{q-1} through the kernel inclusion
         lift = ModuleMorphism(prev.source, k,
                               factor_through(incl.matrix, cq, prev.matrix,
                                              "image does not lie in kernel; d o d != 0?"),
                               check=False)
-        h, proj, section = cokernel_with_section(lift)
+        h, _, section = cokernel(lift)
     reps = ring_matmul(ring, incl.matrix, section) if k.ngens else \
         ring_zero_mat(ring, cq.ngens, h.ngens)
     result = (h, reps)
@@ -185,17 +177,7 @@ def induced_cohomology_map(phi: ComplexMorphism, q: int,
 
 
 # ---------------------------------------------------------------------------
-# shift and cone
-
-
-def shift(c: BoundedComplex, k: int) -> BoundedComplex:
-    """``C[k]^q = C^{q+k}``; odd shifts negate the differential."""
-    mods = [c.module(q + k) for q in range(c.lo - k, c.hi - k + 1)]
-    diffs = []
-    for q in range(c.lo - k, c.hi - k):
-        d = c.diff(q + k)
-        diffs.append(d if k % 2 == 0 else d.negate())
-    return BoundedComplex(c.ring, c.lo - k, mods, diffs, check=False)
+# cone
 
 
 def cone(phi: ComplexMorphism) -> BoundedComplex:
@@ -239,15 +221,6 @@ def cone(phi: ComplexMorphism) -> BoundedComplex:
                                     Mat(rows_n, cols_n, tuple(tuple(r) for r in rows)),
                                     check=False))
     return BoundedComplex(ring, lo, mods, diffs, check=False, layout=layout)
-
-
-def is_quasi_iso(phi: ComplexMorphism):
-    """Per-degree verdict: ``H^q(cone) = 0``; returns ``(all_ok, detail)``."""
-    cn = cone(phi)
-    detail = {}
-    for q in cn.degrees():
-        detail[q] = cohomology(cn, q).is_zero()
-    return all(detail.values()), detail
 
 
 # ---------------------------------------------------------------------------
@@ -519,22 +492,3 @@ def hom_of_source_map(t: ComplexMorphism, d: BoundedComplex,
                                  check=False)
     return ComplexMorphism(hsrc, htgt, maps, check=False)
 
-
-# ---------------------------------------------------------------------------
-# euler characteristic helper (Z backend, all modules finite)
-
-
-def euler_orders(c: BoundedComplex):
-    """``(prod |C^q|^(+-1), prod |H^q|^(+-1))`` as Fractions; Z backend."""
-    chain = Fraction(1)
-    hom_ = Fraction(1)
-    for q in c.degrees():
-        o = c.module(q).order()
-        if o is None:
-            raise ComplexError("infinite module in euler_orders")
-        chain = chain * o if q % 2 == 0 else chain / o
-        oh = cohomology(c, q).order()
-        if oh is None:
-            raise ComplexError("infinite cohomology in euler_orders")
-        hom_ = hom_ * oh if q % 2 == 0 else hom_ / oh
-    return chain, hom_

@@ -54,9 +54,6 @@ class RationalField:
     def is_zero(self, a) -> bool:
         return a == 0
 
-    def eq(self, a, b) -> bool:
-        return a == b
-
     def to_str(self, a) -> str:
         return str(a)
 
@@ -111,9 +108,6 @@ class PrimeField:
 
     def is_zero(self, a) -> bool:
         return a % self.p == 0
-
-    def eq(self, a, b) -> bool:
-        return (a - b) % self.p == 0
 
     def to_str(self, a) -> str:
         return str(a % self.p)

@@ -6,10 +6,11 @@ a column HNF over Z, a reduced module Groebner basis over polynomials), so
 membership in their span -- is a column zero in the module? -- is a remainder
 against them (``FpModule.contains``), and equal spans have equal canonical
 forms.  A morphism is a matrix on generators whose well-definedness is
-certified by membership of the pushed-forward relations.  Kernels, images
-and cokernels come with their canonical inclusion/projection morphisms, and
-all subquotient constructions are minimized (unit-pivot pruning) so
-tower-level objects stay small.
+certified by membership of the pushed-forward relations.  Kernels and
+cokernels come with their canonical inclusion/projection morphisms (a
+cokernel also with a section on generators), and all subquotient
+constructions are minimized (unit-pivot pruning) so tower-level objects stay
+small.
 
 Over a quotient backend ``A/I`` the ring's matrix services work modulo
 ``I * A^r``, so all formulas below are backend-agnostic.  The canonical
@@ -145,16 +146,6 @@ class FpModule:
         rank = self.ngens - sum(1 for d in diag if d != 0)
         return rank, tors
 
-    def order(self):
-        """Number of elements (None if infinite); Z backend only."""
-        rank, tors = self.abelian_invariants()
-        if rank > 0:
-            return None
-        out = 1
-        for d in tors:
-            out *= d
-        return out
-
 
 def free_module(ring, r: int, name=None) -> FpModule:
     return FpModule(ring, r, [], name=name, free_rank=r)
@@ -221,9 +212,6 @@ class ModuleMorphism:
 
     def sub(self, other: "ModuleMorphism") -> "ModuleMorphism":
         return self.add(other.negate())
-
-    def equals(self, other: "ModuleMorphism") -> bool:
-        return self.sub(other).is_zero_morphism()
 
     def __repr__(self):
         return f"Morphism({self.source!r} -> {self.target!r})"
@@ -317,7 +305,7 @@ def minimized(m: FpModule):
 
 
 # ---------------------------------------------------------------------------
-# kernel / image / cokernel
+# kernel / cokernel
 
 
 def _relations_among(ring, cols, target: FpModule):
@@ -330,33 +318,32 @@ def _relations_among(ring, cols, target: FpModule):
     return [h for h in heads if any(not ring.is_zero(x) for x in h)]
 
 
-def _preimage_columns(phi: ModuleMorphism):
-    """Generators of ``{m in A^{g_src} : phi(m) in im(target relations)}``."""
+def kernel(phi: ModuleMorphism):
+    """``(K, incl)`` with ``incl : K -> source`` the canonical inclusion.
+
+    ``K`` is generated by ``{m in A^{g_src} : phi(m) in im(target relations)}``
+    and related by the relations of the source."""
     ring = phi.source.ring
     g_src = phi.source.ngens
     if phi.target.ngens == 0:
-        return [[ring.one() if t == k else ring.zero() for t in range(g_src)]
+        gens = [[ring.one() if t == k else ring.zero() for t in range(g_src)]
                 for k in range(g_src)]
-    return _relations_among(ring, [phi.matrix.col(j) for j in range(g_src)], phi.target)
-
-
-def kernel(phi: ModuleMorphism):
-    """``(K, incl)`` with ``incl : K -> source`` the canonical inclusion."""
-    ring = phi.source.ring
-    gens = _preimage_columns(phi)
-    lmat = mat_from_cols([tuple(c) for c in gens], phi.source.ngens)
+    else:
+        gens = _relations_among(ring, [phi.matrix.col(j) for j in range(g_src)], phi.target)
+    lmat = mat_from_cols([tuple(c) for c in gens], g_src)
     rels = _relations_among(ring, gens, phi.source) if gens else []
     raw = FpModule(ring, lmat.ncols, rels)
     small, _, from_small = minimized(raw)
     incl_matrix = ring_matmul(ring, lmat, from_small.matrix) if lmat.ncols else \
-        ring_zero_mat(ring, phi.source.ngens, 0)
+        ring_zero_mat(ring, g_src, 0)
     incl = ModuleMorphism(small, phi.source, incl_matrix, check=False)
     return small, incl
 
 
-def cokernel_with_section(phi: ModuleMorphism):
+def cokernel(phi: ModuleMorphism):
     """``(C, proj, section)``: ``proj : target -> C`` and a representative
-    matrix ``section`` (target generators for each generator of ``C``)."""
+    matrix ``section`` (target generators for each generator of ``C``), so
+    that ``proj.matrix * section`` is the identity."""
     ring = phi.source.ring
     rel_t = phi.target.relations
     cols = [list(phi.matrix.col(j)) for j in range(phi.matrix.ncols)] + \
@@ -365,23 +352,6 @@ def cokernel_with_section(phi: ModuleMorphism):
     small, to_small, from_small = minimized(raw)
     proj = ModuleMorphism(phi.target, small, to_small.matrix, check=False)
     return small, proj, from_small.matrix
-
-
-def cokernel(phi: ModuleMorphism):
-    c, proj, _ = cokernel_with_section(phi)
-    return c, proj
-
-
-def image(phi: ModuleMorphism):
-    """``(I, incl)`` with ``incl : I -> target``; generators are the images
-    of the source generators."""
-    ring = phi.source.ring
-    rels = _preimage_columns(phi)
-    raw = FpModule(ring, phi.source.ngens, rels)
-    small, _, from_small = minimized(raw)
-    incl = ModuleMorphism(small, phi.target,
-                          ring_matmul(ring, phi.matrix, from_small.matrix), check=False)
-    return small, incl
 
 
 def factor_through(gens: Mat, target: FpModule, want: Mat, message: str,
@@ -407,18 +377,8 @@ def factor_through(gens: Mat, target: FpModule, want: Mat, message: str,
     return mat_from_cols(cols, gens.ncols)
 
 
-def submodules_equal(parent: FpModule, cols_a, cols_b) -> bool:
-    """Equality of the two spans as submodules of ``parent``: canonical forms
-    are unique, so the spans are equal when their canonical forms, with the
-    relations of ``parent``, are."""
-    ring = parent.ring
-    rel = parent.relations.cols()
-    return ring.canonical_columns(list(cols_a) + rel, parent.ngens) == \
-        ring.canonical_columns(list(cols_b) + rel, parent.ngens)
-
-
 # ---------------------------------------------------------------------------
-# hom / tensor / direct sum
+# tensor / direct sum
 
 
 def direct_sum(modules, name=None):
@@ -483,43 +443,6 @@ def tensor_module(m: FpModule, n: FpModule, name=None) -> FpModule:
     return FpModule(ring, g, cols, name=name, free_rank=free_rank)
 
 
-def hom_module(m: FpModule, n: FpModule):
-    """``(H, morphisms)``: the module ``Hom(m, n)`` and, for each of its
-    generators, the corresponding concrete morphism ``m -> n``."""
-    if m.ring != n.ring:
-        raise ModuleError("mixed rings in hom")
-    ring = m.ring
-    if m.ngens == 0 or n.ngens == 0:
-        z = zero_module(ring)
-        return z, []
-    p, _, _ = direct_sum([n] * m.ngens)
-    s_rel = m.relations
-    if s_rel.ncols == 0:
-        h = p
-        incl = identity_morphism(p)
-    else:
-        q, _, _ = direct_sum([n] * s_rel.ncols)
-        rows = []
-        for j in range(s_rel.ncols):
-            for b2 in range(n.ngens):
-                row = []
-                for k in range(m.ngens):
-                    for b in range(n.ngens):
-                        row.append(s_rel.entry(k, j) if b == b2 else ring.zero())
-                rows.append(tuple(row))
-        phi = ModuleMorphism(p, q, Mat(q.ngens, p.ngens, tuple(rows)), check=False)
-        h, incl = kernel(phi)
-    gens_as_morphisms = []
-    for t in range(h.ngens):
-        col = incl.matrix.col(t)
-        mat_rows = []
-        for b in range(n.ngens):
-            mat_rows.append(tuple(col[k * n.ngens + b] for k in range(m.ngens)))
-        gens_as_morphisms.append(ModuleMorphism(m, n, Mat(n.ngens, m.ngens, tuple(mat_rows)),
-                                                check=False))
-    return h, gens_as_morphisms
-
-
 # ---------------------------------------------------------------------------
 # ideal-linked module constructions
 
@@ -528,17 +451,6 @@ def quotient_module(a: IdealSpec, i: int = 1, name=None) -> FpModule:
     """Cyclic module ``A / a^i`` presented by the ideal power generators."""
     gens = ideal_power(a, i).generators if i >= 1 else ()
     return FpModule(a.ring, 1, [[g] for g in gens], name=name)
-
-
-def quotient_by_sequence(a: IdealSpec, i: int = 1, name=None) -> FpModule:
-    """Cyclic module ``A / (a_1^i, ..., a_n^i)``."""
-    gens = power_sequence(a, i).generators
-    return FpModule(a.ring, 1, [[g] for g in gens], name=name)
-
-
-def annihilator_submodule(m: FpModule, a: IdealSpec, i: int = 1):
-    """``{x in m : a^i x = 0}`` with its inclusion; uses ideal powers."""
-    return annihilated_by_elements(m, ideal_power(a, i).generators)
 
 
 def annihilated_by_elements(m: FpModule, elements):

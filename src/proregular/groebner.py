@@ -436,8 +436,3 @@ class GraphBasis:
         syz.sort(key=lambda v: sub_order.key(vec_lead(sub_order, v)))
         return vectors_to_columns(self.ring, syz, self.ncols)
 
-
-def syzygies_of_columns(ring: PolyRing, cols, nrows: int):
-    """Relations among the given columns: each output ``u`` has
-    ``sum_j u[j] * cols[j] = 0``."""
-    return GraphBasis(ring, cols, nrows).syzygy_columns()

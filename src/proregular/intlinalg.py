@@ -18,7 +18,6 @@ All matrices are immutable ``Mat`` values; operations return new objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 
 @dataclass(frozen=True)
@@ -41,10 +40,6 @@ class Mat:
         rows = tuple(tuple(r) for r in rows)
         ncols = len(rows[0]) if rows else 0
         return Mat(len(rows), ncols, rows)
-
-    @staticmethod
-    def zero(nrows: int, ncols: int, zero=0) -> "Mat":
-        return Mat(nrows, ncols, tuple(tuple(zero for _ in range(ncols)) for _ in range(nrows)))
 
     @staticmethod
     def identity(n: int, one=1, zero=0) -> "Mat":
@@ -72,14 +67,6 @@ def mat_from_cols(cols, nrows: int) -> Mat:
         if len(c) != nrows:
             raise ValueError("column length mismatch")
     return Mat(nrows, len(cols), tuple(tuple(c[i] for c in cols) for i in range(nrows)))
-
-
-def int_matmul(a: Mat, b: Mat) -> Mat:
-    if a.ncols != b.nrows:
-        raise ValueError("shape mismatch in matmul")
-    bt = b.transpose().rows
-    return Mat(a.nrows, b.ncols,
-               tuple(tuple(sum(x * y for x, y in zip(ar, bc)) for bc in bt) for ar in a.rows))
 
 
 def _xgcd(a: int, b: int):
@@ -265,35 +252,6 @@ def smith_normal_form(m: Mat) -> SnfResult:
                      Mat.from_rows(v) if s else Mat(0, 0, ()))
 
 
-def det(m: Mat) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if m.nrows != m.ncols:
-        raise ValueError("determinant of non-square matrix")
-    n = m.nrows
-    if n == 0:
-        return 1
-    a = [list(r) for r in m.rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def is_unimodular(m: Mat) -> bool:
-    return m.nrows == m.ncols and det(m) in (1, -1)
-
-
 # ---------------------------------------------------------------------------
 # kernels, solving, membership
 
@@ -366,13 +324,3 @@ def canonical_column_form(m: Mat) -> Mat:
     cols = [h.col(j) for j in range(h.ncols) if any(h.col(j))]
     return mat_from_cols(cols, m.nrows)
 
-
-def minors_gcd(m: Mat, k: int) -> int:
-    """gcd of all k-by-k minors (brute force; oracle for Smith form tests)."""
-    from itertools import combinations
-    g = 0
-    for rows in combinations(range(m.nrows), k):
-        for cols in combinations(range(m.ncols), k):
-            sub = Mat.from_rows([[m.entry(i, j) for j in cols] for i in rows])
-            g = gcd(g, det(sub))
-    return abs(g)

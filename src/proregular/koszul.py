@@ -26,7 +26,7 @@ from .complexes import (BoundedComplex, ComplexMorphism, block_identity_map,
                         cohomology, hom_complex, hom_of_source_map,
                         identity_complex_morphism, induced_cohomology_map,
                         ring_complex, tensor_complexes, tensor_complex_morphisms)
-from .fpmod import (FpModule, IdealSpec, free_module, identity_morphism,
+from .fpmod import (IdealSpec, free_module, identity_morphism,
                     multiplication_morphism, power_sequence)
 from .towers import (IndSystem, ProSystem, SystemMap, is_pro_zero,
                      tower_equivalence)
@@ -143,13 +143,6 @@ class WprVerdict:
     def passed(self) -> bool:
         return self.status == "pass"
 
-    def witness(self):
-        for p in sorted(self.per_degree):
-            v = self.per_degree[p]
-            if not v.passed:
-                return p, v
-        return None
-
 
 def weak_proregularity_check(tower: KoszulTower, window: int = 1) -> WprVerdict:
     """Pro-zero check of every negative Koszul cohomology tower."""
@@ -163,49 +156,6 @@ def weak_proregularity_check(tower: KoszulTower, window: int = 1) -> WprVerdict:
         ok = ok and verdict.passed
     return WprVerdict(ideal=tower.ideal, depth=tower.depth, window=window,
                       per_degree=per, status="pass" if ok else "undetermined")
-
-
-# ---------------------------------------------------------------------------
-# radical invariance
-
-
-@dataclass
-class RadicalInvarianceReport:
-    radical_equal: bool
-    exponent_bound: int
-    first: WprVerdict
-    second: WprVerdict
-
-
-def _radical_contains(a: IdealSpec, b: IdealSpec, bound: int) -> bool:
-    """Does every generator of ``b`` have a power inside ``(a)``?"""
-    ring = a.ring
-    ideal = FpModule(ring, 1, [[g] for g in a.generators])
-    for g in b.generators:
-        p = ring.one()
-        for _ in range(bound):
-            p = ring.mul(p, g)
-            if ideal.contains([p]):
-                break
-        else:
-            return False
-    return True
-
-
-def radical_invariance_suite(a: IdealSpec, b: IdealSpec, depth: int = 4,
-                             window: int = 1,
-                             exponent_bound: int = 8) -> RadicalInvarianceReport:
-    """Check ``sqrt(a) = sqrt(b)`` up to the exponent bound, then run the
-    weak proregularity check on both sequences."""
-    if a.ring != b.ring:
-        raise ValueError("sequences over different rings")
-    eq = _radical_contains(a, b, exponent_bound) and _radical_contains(b, a, exponent_bound)
-    if not eq:
-        raise ValueError("radical comparability not established within bound")
-    return RadicalInvarianceReport(
-        radical_equal=True, exponent_bound=exponent_bound,
-        first=weak_proregularity_check(KoszulTower(a, depth), window),
-        second=weak_proregularity_check(KoszulTower(b, depth), window))
 
 
 # ---------------------------------------------------------------------------

@@ -86,14 +86,6 @@ class Poly:
     def lead_exp(self) -> tuple:
         return self.terms[0][0]
 
-    def lead_coeff(self):
-        return self.terms[0][1]
-
-    def degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(mono_deg(e) for e, _ in self.terms)
-
     def constant_value(self):
         """Coefficient of the constant monomial (0 if absent)."""
         nil = (0,) * self.ring.nvars
@@ -177,13 +169,6 @@ class PolyRing:
             return self.parse(x)
         return self.from_terms([((0,) * self.nvars, self.field.coerce(x))])
 
-    def gen(self, i: int) -> Poly:
-        exp = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return self.from_terms([(exp, self.field.one())])
-
-    def gens(self) -> list:
-        return [self.gen(i) for i in range(self.nvars)]
-
     def monomial(self, exp: tuple, coeff=None) -> Poly:
         c = self.field.one() if coeff is None else coeff
         return self.from_terms([(tuple(exp), c)])
@@ -213,10 +198,6 @@ class PolyRing:
         terms = [(e, c) for e, c in acc.items() if not f.is_zero(c)]
         terms.sort(key=lambda t: self.order.key(t[0]), reverse=True)
         return Poly(self, terms)
-
-    def mul_term(self, a: Poly, exp: tuple, coeff) -> Poly:
-        f = self.field
-        return Poly(self, tuple((mono_mul(e, exp), f.mul(c, coeff)) for e, c in a.terms))
 
     def pow(self, a: Poly, k: int) -> Poly:
         if k < 0:

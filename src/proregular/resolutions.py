@@ -1,4 +1,4 @@
-"""Free resolutions and Ext modules.
+"""Free resolutions and their comparison lifts.
 
 Over Z the column Hermite form of the presentation already has independent
 columns, so every module resolves in length at most one.  Over a polynomial
@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import (BoundedComplex, ComplexMorphism, cohomology,
-                        hom_complex, module_complex)
+from .complexes import BoundedComplex, ComplexMorphism
 from .fpmod import FpModule, ModuleMorphism, factor_through, free_module
 from .groebner import (SchreyerOrder, TopOrder, columns_to_vectors,
                        minimal_module_basis, module_groebner, vec_lead,
@@ -194,16 +193,6 @@ def free_resolution(m: FpModule, max_length: int | None = None,
         return _resolution_over_poly(m, cap, truncate_at)
     cap = max_length if max_length is not None else 8
     return _resolution_over_quotient(m, cap, truncate_at)
-
-
-def ext_module(m: FpModule, n: FpModule, p: int,
-               max_length: int | None = None) -> FpModule:
-    """``Ext^p(m, n)`` computed from a free resolution of ``m``."""
-    if p < 0:
-        raise ValueError("ext degree must be >= 0")
-    res = free_resolution(m, max_length=max_length, truncate_at=p + 1)
-    h = hom_complex(res.complex, module_complex(n))
-    return cohomology(h, p)
 
 
 # ---------------------------------------------------------------------------

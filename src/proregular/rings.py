@@ -103,9 +103,6 @@ class IntegerRing:
     def is_zero(self, a) -> bool:
         return a == 0
 
-    def eq(self, a, b) -> bool:
-        return a == b
-
     def is_unit(self, a) -> bool:
         return a in (1, -1)
 
@@ -203,9 +200,6 @@ class PolynomialRing:
 
     def is_zero(self, a) -> bool:
         return a.is_zero()
-
-    def eq(self, a, b) -> bool:
-        return a == b
 
     def is_unit(self, a) -> bool:
         return self.poly_ring.is_unit(a)
@@ -329,9 +323,6 @@ class QuotientRing(PolynomialRing):
 
     def is_zero(self, a) -> bool:
         return not a.terms or self.normalize(a).is_zero()
-
-    def eq(self, a, b) -> bool:
-        return self.is_zero(self.poly_ring.sub(a, b))
 
     def is_unit(self, a) -> bool:
         # sound but partial: recognizes nonzero constants, with no normal

@@ -34,14 +34,11 @@ from .complexes import (BoundedComplex, ComplexMorphism, block_identity_map,
                         identity_complex_morphism, induced_cohomology_map,
                         module_complex, tensor_complexes, tensor_complex_morphisms)
 from .fpmod import (FpModule, IdealSpec, ModuleMorphism, annihilated_by_elements,
-                    identity_morphism, ideal_power, quotient_by_sequence,
-                    quotient_module, submodules_equal)
+                    identity_morphism, ideal_power, quotient_module)
 from .intlinalg import Mat, mat_from_cols
 from .koszul import KoszulTower
-from .resolutions import comparison_map, free_resolution, lift_through_resolution
-from .rings import ring_matmul
-from .towers import (IndSystem, ProSystem, SystemMap, TowerEquivalenceVerdict,
-                     required_levels, tower_equivalence, vanishing_check)
+from .resolutions import free_resolution, lift_through_resolution
+from .towers import IndSystem, ProSystem, required_levels, vanishing_check
 
 
 class StabilizationBudgetError(RuntimeError):
@@ -64,17 +61,21 @@ def _stable_annihilator(m: FpModule, elements_at, max_stabilization: int,
     """First stable stage of the ascending chain ``{x in m : g x = 0 for all
     g in elements_at(i)}``, ``i = 1, 2, ...``: ``(sub, incl, index)``.
 
-    The chain stops at the first repeat (equality as submodules); raises
-    ``StabilizationBudgetError`` naming ``label`` if it is still moving at
-    the budget.
+    The chain stops at the first repeat (equality as submodules of ``m``:
+    canonical forms are unique, so each stage's canonical form, with the
+    relations of ``m``, is computed once and compared with the last one);
+    raises ``StabilizationBudgetError`` naming ``label`` if it is still
+    moving at the budget.
     """
+    rel = m.relations.cols()
     prev = None
     for i in range(1, max_stabilization + 1):
         sub, incl = annihilated_by_elements(m, elements_at(i))
         cols = [list(incl.matrix.col(j)) for j in range(incl.matrix.ncols)]
-        if prev is not None and submodules_equal(m, prev[2], cols):
+        form = m.ring.canonical_columns(cols + rel, m.ngens)
+        if prev is not None and form == prev[2]:
             return prev[0], prev[1], i - 1
-        prev = sub, incl, cols
+        prev = sub, incl, form
     raise StabilizationBudgetError(
         f"{label} did not stabilize within {max_stabilization} steps")
 
@@ -90,60 +91,38 @@ def gamma(m: FpModule, a: IdealSpec, max_stabilization: int = 32) -> TorsionData
     return TorsionData(module=sub, inclusion=incl, stabilization_index=index)
 
 
-def gamma_idempotence(m: FpModule, a: IdealSpec,
-                      max_stabilization: int = 32) -> bool:
-    """``gamma(gamma(M)) = gamma(M)`` as submodules of ``M`` (exact check)."""
-    first = gamma(m, a, max_stabilization)
-    second = gamma(first.module, a, max_stabilization)
-    # push the inner submodule out to M and compare spans
-    inner_cols_in_m = ring_matmul(
-        m.ring, first.inclusion.matrix, second.inclusion.matrix)
-    cols_outer = [list(first.inclusion.matrix.col(j))
-                  for j in range(first.inclusion.matrix.ncols)]
-    cols_inner = [list(inner_cols_in_m.col(j))
-                  for j in range(inner_cols_in_m.ncols)]
-    return submodules_equal(m, cols_outer, cols_inner)
-
-
 # ---------------------------------------------------------------------------
 # torsion towers
 
 
-def _ext_tower(m: FpModule, quotients, p: int, max_length):
-    """``(system, resolutions, homs)`` for the ind-system ``{Ext^p(Q_i, M)}``
-    of the cyclic quotients ``Q_i``, with transitions induced by the
-    surjections ``Q_{i+1} ->> Q_i`` that are the identity on the generator."""
+def ext_torsion_tower(m: FpModule, a: IdealSpec, p: int, depth: int,
+                      max_length: int | None = None) -> IndSystem:
+    """``{Ext^p(A/a^i, M)}_{i <= depth}`` with transitions induced by the
+    stage surjections ``A/a^{i+1} ->> A/a^i`` that are the identity on the
+    generator."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     ring = m.ring
+    quotients = [quotient_module(a, i) for i in range(1, depth + 1)]
     mcx = module_complex(m)
     resolutions = [free_resolution(q, max_length=max_length, truncate_at=p + 1)
                    for q in quotients]
     homs = [hom_complex(r.complex, mcx) for r in resolutions]
     objects = [cohomology(h, p) for h in homs]
     transitions = []
-    for i in range(len(quotients) - 1):
+    for i in range(depth - 1):
         proj = ModuleMorphism(quotients[i + 1], quotients[i],
                               mat_from_cols([(ring.one(),)], 1), check=False)
         lifted = lift_through_resolution(proj, resolutions[i + 1], resolutions[i])
         hom_map = hom_of_source_map(lifted, mcx, hom_source=homs[i],
                                     hom_target=homs[i + 1])
         transitions.append(induced_cohomology_map(hom_map, p, check=False))
-    return IndSystem(objects, transitions, check=False), resolutions, homs
+    return IndSystem(objects, transitions, check=False)
 
 
-def ext_torsion_tower(m: FpModule, a: IdealSpec, p: int, depth: int,
-                      max_length: int | None = None) -> IndSystem:
-    """``{Ext^p(A/a^i, M)}_{i <= depth}`` with transitions induced by the
-    stage surjections ``A/a^{i+1} ->> A/a^i``."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    quotients = [quotient_module(a, i) for i in range(1, depth + 1)]
-    return _ext_tower(m, quotients, p, max_length)[0]
-
-
-def _koszul_tower(mcx, tower: KoszulTower, p: int):
-    """``(stages, system)``: the stage complexes ``Kdual(A; a^i) (x) M`` for
-    ``i <= depth``, ``M`` given as the complex ``mcx``, and their ``H^p``
-    ind-system with the dual transitions."""
+def koszul_torsion_tower(m: FpModule, tower: KoszulTower, p: int) -> IndSystem:
+    """``{H^p(Kdual(A; a^i) (x) M)}_{i <= depth}`` with dual transitions."""
+    mcx = module_complex(m)
     stages = [tensor_complexes(d, mcx) for d in tower.duals]
     objects = [cohomology(s, p) for s in stages]
     id_m = identity_complex_morphism(mcx)
@@ -151,51 +130,7 @@ def _koszul_tower(mcx, tower: KoszulTower, p: int):
         induced_cohomology_map(tensor_complex_morphisms(tr, id_m, stages[i],
                                                         stages[i + 1]), p, check=False)
         for i, tr in enumerate(tower.up)]
-    return stages, IndSystem(objects, transitions, check=False)
-
-
-def koszul_torsion_tower(m: FpModule, tower: KoszulTower, p: int) -> IndSystem:
-    """``{H^p(Kdual(A; a^i) (x) M)}_{i <= depth}`` with dual transitions."""
-    return _koszul_tower(module_complex(m), tower, p)[1]
-
-
-def ext_koszul_comparison(m: FpModule, tower: KoszulTower, p: int,
-                          window: int = 1) -> TowerEquivalenceVerdict:
-    """Compare the Ext tower against the Koszul tower through the canonical
-    chain maps ``K(A; a^i) -> F(A/(a_1^i, ..., a_n^i))``.
-
-    The comparison is levelwise exact when both sides use the elementwise
-    power stages; it applies whenever the lift exists (always for a single
-    generator, and for any stage where the Koszul complex resolves the
-    cyclic quotient).
-    """
-    ring = m.ring
-    mcx = module_complex(m)
-    quotients = [quotient_by_sequence(tower.ideal, i)
-                 for i in range(1, tower.depth + 1)]
-    ext_sys, resolutions, homs = _ext_tower(m, quotients, p, None)
-    stages, kos_sys = _koszul_tower(mcx, tower, p)
-
-    # comparison chain maps K(A; a^i) -> F_i lifting the identity of A/(a^i)
-    level_maps = []
-    for i, k in enumerate(tower.stages):
-        # lift id through: K -> A/(seq^i) augmentations agree on degree 0
-        unit = ModuleMorphism(k.module(0), resolutions[i].complex.module(0),
-                              mat_from_cols([(ring.one(),)], 1), check=False)
-        comp_maps = comparison_map(k, resolutions[i], unit)
-        hom_map = hom_of_source_map(comp_maps, mcx, hom_source=homs[i],
-                                    hom_target=None)
-        # hom target is Hom(K, M) which equals the koszul stage complex
-        target_stage = stages[i]
-        adj = ComplexMorphism(homs[i], target_stage,
-                              {q: ModuleMorphism(homs[i].module(q),
-                                                 target_stage.module(q),
-                                                 hom_map.map_at(q).matrix,
-                                                 check=False)
-                               for q in homs[i].degrees()}, check=False)
-        level_maps.append(induced_cohomology_map(adj, p, check=False))
-    fmap = SystemMap(ext_sys, kos_sys, level_maps, check=True)
-    return tower_equivalence(fmap, window)
+    return IndSystem(objects, transitions, check=False)
 
 
 # ---------------------------------------------------------------------------

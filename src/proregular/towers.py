@@ -14,6 +14,11 @@ the certificate gap grows linearly with the level, so levels too close to
 the edge would produce spurious ``undetermined`` verdicts at any depth.
 Every reported certificate is re-verifiable: it names the least ``j`` whose
 composite with level ``i`` is the zero morphism.
+
+A levelwise map of systems has kernel and cokernel systems.  A kernel
+transition factors the ambient transition through the kernel inclusion; a
+cokernel transition reads the section that ``cokernel`` returns with each
+projection, since the projection is the identity on the section.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass, field
 
 from .fpmod import (FpModule, ModuleMorphism, cokernel, factor_through,
                     identity_morphism, kernel)
-from .rings import ring_identity, ring_matmul
+from .rings import ring_matmul
 
 
 class TowerError(ValueError):
@@ -43,8 +48,9 @@ class _System:
             raise TowerError("need exactly one transition per adjacent pair")
         if check:
             for t, tr in enumerate(self.transitions):
-                src, tgt = self._endpoints(t)
-                if tr.source.ngens != src.ngens or tr.target.ngens != tgt.ngens:
+                s, d = self._endpoints(t)
+                if tr.source.ngens != self.objects[s].ngens or \
+                        tr.target.ngens != self.objects[d].ngens:
                     raise TowerError(f"transition {t + 1} has wrong endpoints")
 
     @property
@@ -56,6 +62,7 @@ class _System:
         return self.objects[i - 1]
 
     def _endpoints(self, t: int):
+        """``(s, d)``: ``transitions[t]`` maps ``objects[s]`` to ``objects[d]``."""
         raise NotImplementedError
 
     def composite(self, i: int, j: int) -> ModuleMorphism:
@@ -68,7 +75,7 @@ class ProSystem(_System):
     direction = "pro"
 
     def _endpoints(self, t: int):
-        return self.objects[t + 1], self.objects[t]
+        return t + 1, t
 
     def composite(self, j: int, i: int) -> ModuleMorphism:
         """The map ``X_j -> X_i`` for ``j >= i`` (identity when equal)."""
@@ -86,7 +93,7 @@ class IndSystem(_System):
     direction = "ind"
 
     def _endpoints(self, t: int):
-        return self.objects[t], self.objects[t + 1]
+        return t, t + 1
 
     def composite(self, i: int, j: int) -> ModuleMorphism:
         """The map ``X_i -> X_j`` for ``i <= j`` (identity when equal)."""
@@ -184,12 +191,9 @@ class SystemMap:
             raise TowerError("need one map per level")
         if check:
             for t in range(source.depth - 1):
-                if source.direction == "ind":
-                    left = self.maps[t + 1].compose(source.transitions[t])
-                    right = target.transitions[t].compose(self.maps[t])
-                else:
-                    left = self.maps[t].compose(source.transitions[t])
-                    right = target.transitions[t].compose(self.maps[t + 1])
+                s, d = source._endpoints(t)
+                left = self.maps[d].compose(source.transitions[t])
+                right = target.transitions[t].compose(self.maps[s])
                 if not left.sub(right).is_zero_morphism():
                     raise TowerError(f"system map does not commute at step {t + 1}")
 
@@ -198,42 +202,27 @@ class SystemMap:
         return self.source.depth
 
     def kernel_system(self) -> _System:
-        """Kernels with the induced transitions."""
-        kers = []
-        incls = []
-        for f in self.maps:
-            k, incl = kernel(f)
-            kers.append(k)
-            incls.append(incl)
+        """Kernels with the induced transitions: each ambient transition
+        factored through the kernel inclusion at its target level."""
+        incls = [kernel(f)[1] for f in self.maps]
         trans = []
-        for t in range(self.depth - 1):
-            if self.source.direction == "ind":
-                amb = self.source.transitions[t].compose(incls[t])
-                trans.append(_lift_into_submodule(amb, incls[t + 1]))
-            else:
-                amb = self.source.transitions[t].compose(incls[t + 1])
-                trans.append(_lift_into_submodule(amb, incls[t]))
-        cls = IndSystem if self.source.direction == "ind" else ProSystem
-        return cls(kers, trans, check=False)
+        for t, tr in enumerate(self.source.transitions):
+            s, d = self.source._endpoints(t)
+            trans.append(_lift_into_submodule(tr.compose(incls[s]), incls[d]))
+        return type(self.source)([i.source for i in incls], trans, check=False)
 
     def cokernel_system(self) -> _System:
-        """Cokernels with the induced transitions."""
-        coks = []
-        projs = []
-        for f in self.maps:
-            c, proj = cokernel(f)
-            coks.append(c)
-            projs.append(proj)
+        """Cokernels with the induced transitions: the target transition
+        followed by the projection at its target level, read on the section
+        at its source level."""
+        cokers = [cokernel(f) for f in self.maps]
         trans = []
-        for t in range(self.depth - 1):
-            if self.target.direction == "ind":
-                comp = projs[t + 1].compose(self.target.transitions[t])
-                trans.append(_descend_through_projection(comp, projs[t]))
-            else:
-                comp = projs[t].compose(self.target.transitions[t])
-                trans.append(_descend_through_projection(comp, projs[t + 1]))
-        cls = IndSystem if self.target.direction == "ind" else ProSystem
-        return cls(coks, trans, check=False)
+        for t, tr in enumerate(self.target.transitions):
+            s, d = self.target._endpoints(t)
+            (c_s, _, section), (c_d, proj_d, _) = cokers[s], cokers[d]
+            comp = ring_matmul(c_s.ring, proj_d.compose(tr).matrix, section)
+            trans.append(ModuleMorphism(c_s, c_d, comp, check=False))
+        return type(self.target)([c for c, _, _ in cokers], trans, check=False)
 
 
 def _lift_into_submodule(ambient_map: ModuleMorphism,
@@ -242,21 +231,6 @@ def _lift_into_submodule(ambient_map: ModuleMorphism,
     return ModuleMorphism(ambient_map.source, incl.source,
                           factor_through(incl.matrix, incl.target, ambient_map.matrix,
                                          "map does not factor through the submodule"),
-                          check=False)
-
-
-def _descend_through_projection(comp: ModuleMorphism,
-                                proj: ModuleMorphism) -> ModuleMorphism:
-    """Factor ``comp : X -> C2`` through the surjection ``proj : X -> C1``.
-
-    The projections produced by ``cokernel`` carry generator sections, so a
-    matrix on generators is obtained by evaluating on any preimages.
-    """
-    ring = comp.source.ring
-    c1 = proj.target
-    preimages = factor_through(proj.matrix, c1, ring_identity(ring, c1.ngens),
-                               "projection is not surjective on generators")
-    return ModuleMorphism(c1, comp.target, ring_matmul(ring, comp.matrix, preimages),
                           check=False)
 
 

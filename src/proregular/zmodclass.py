@@ -11,16 +11,13 @@ summands (the divisible ones).
 
 Closed forms used (all classical):
 
-    Hom(Z/n, Z) = Hom(Z/n, Z[1/S]) = Hom(Z/n, Q) = 0      (torsion-free)
-    Hom(Z/n, Z/p^k)   = Z/p^min(v_p(n), k)
-    Hom(Z/n, Z(p^oo)) = Z/p^v_p(n)
     Ext1(Z/n, Z)      = Z/n
     Ext1(Z/n, Z[1/S]) = Z/n'   (n' = n with all prime factors in S removed)
     Ext1(Z/n, Z/p^k)  = Z/p^min(v_p(n), k)
     Ext1(Z/n, divisible) = 0
     Gamma_p  picks the p-primary summands (Z/p^k and Z(p^oo))
-    localization inverting p kills exactly the p-primary summands and
-    turns Z into Z[1/p], Z[1/S] into Z[1/(S + {p})]
+    the cokernel of D -> D[1/p] has one Z(p^oo) for each summand Z, and for
+    each summand Z[1/S] with p not in S
 
 Every closed form is cross-checked against presentation computations on
 truncated models in the test suite.
@@ -86,16 +83,8 @@ class Summand:
         return f"Z({self.p}^oo)"
 
 
-def summand_Z() -> Summand:
-    return Summand("Z")
-
-
 def summand_Q() -> Summand:
     return Summand("Q")
-
-
-def summand_inv(primes) -> Summand:
-    return Summand("ZinvS", primes=tuple(sorted(set(primes))))
 
 
 def summand_cyclic(p: int, k: int) -> Summand:
@@ -138,10 +127,6 @@ class ZModClass:
     __repr__ = __str__
 
 
-def zero_class() -> ZModClass:
-    return ZModClass()
-
-
 def rationals_mod_integers(prime_bound: int = 13) -> ZModClass:
     """``Q/Z`` truncated to its ``p``-primary parts for ``p <= bound``."""
     ps = [p for p in range(2, prime_bound + 1) if is_prime(p)]
@@ -160,25 +145,6 @@ def zmod_gamma(p: int, d: ZModClass) -> ZModClass:
     for s in d.summands:
         if s.kind in ("Zmod", "Pruefer") and s.p == p:
             out.append(s)
-    return ZModClass(out)
-
-
-def zmod_hom(n: int, d: ZModClass) -> ZModClass:
-    """``Hom(Z/n, D)`` by the summand table."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    out = []
-    for s in d.summands:
-        if s.kind in ("Z", "ZinvS", "Q"):
-            continue  # torsion-free target
-        if s.kind == "Zmod":
-            e = min(_v_p(n, s.p), s.k)
-            if e:
-                out.append(summand_cyclic(s.p, e))
-        elif s.kind == "Pruefer":
-            e = _v_p(n, s.p)
-            if e:
-                out.append(summand_cyclic(s.p, e))
     return ZModClass(out)
 
 
@@ -218,23 +184,6 @@ def _cyclic_factors(n: int):
     if n > 1:
         out.append(summand_cyclic(n, 1))
     return out
-
-
-def zmod_localize_away(p: int, d: ZModClass) -> ZModClass:
-    """``D[1/p]``: p-primary summands die, Z gets p inverted."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    out = []
-    for s in d.summands:
-        if s.kind == "Z":
-            out.append(summand_inv((p,)))
-        elif s.kind == "ZinvS":
-            out.append(summand_inv(s.primes + (p,)))
-        elif s.kind == "Q":
-            out.append(s)
-        elif s.p != p:
-            out.append(s)
-    return ZModClass(out)
 
 
 def zmod_localization_map_cokernel(p: int, d: ZModClass) -> ZModClass:

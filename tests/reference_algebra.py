@@ -1,22 +1,38 @@
 """Reference algorithms that tests use as oracles, independent of the engine.
 
-``_reduce_poly`` and ``_spoly`` are a textbook polynomial division and
-S-polynomial, written without the module layer's ``_Reducer``; ``rref`` and
-``rank`` are Gaussian elimination over a field;
-``stabilized_koszul_level_zero`` is the torsion submodule read off the
-level-0 Koszul chain instead of the ideal-power chain of ``gamma``;
-``minimized_by_composition`` prunes unit pivots by composing whole
-morphisms through ``ring_matmul`` at every pivot, and tests every entry for
-a unit through its normal form.  Nothing under ``src/`` uses them.
+They are textbook versions of engine steps (polynomial division, Gaussian
+elimination, Bareiss determinants, minimization by composing morphisms),
+constructions that no command runs (Hom, Ext of two modules, Euler
+characteristics), and paper checks that tie two models together.  Nothing
+under ``src/`` uses them.
 """
 
 from __future__ import annotations
 
-from proregular.fpmod import (FpModule, IdealSpec, ModuleMorphism, identity_morphism,
-                              power_sequence)
-from proregular.intlinalg import Mat
+from fractions import Fraction
+from itertools import combinations
+from math import gcd, prod
+
+from proregular.complexes import (ComplexMorphism, cohomology, hom_complex,
+                                  hom_of_source_map, induced_cohomology_map,
+                                  module_complex, tensor_complexes)
+from proregular.fpmod import (FpModule, IdealSpec, ModuleMorphism, direct_sum,
+                              identity_morphism, kernel, power_sequence,
+                              quotient_module, zero_module)
+from proregular.intlinalg import Mat, mat_from_cols
+from proregular.koszul import KoszulTower, weak_proregularity_check
 from proregular.poly import Poly, PolyRing, mono_div, mono_divides, mono_lcm, mono_mul
-from proregular.torsion import _stable_annihilator
+from proregular.resolutions import comparison_map, free_resolution
+from proregular.rings import ring_matmul
+from proregular.torsion import (_stable_annihilator, ext_torsion_tower, gamma,
+                                koszul_torsion_tower)
+from proregular.towers import SystemMap, TowerEquivalenceVerdict, tower_equivalence
+
+
+def _mul_term(ring: PolyRing, f: Poly, exp: tuple, coeff) -> Poly:
+    """``coeff * x^exp * f``."""
+    field = ring.field
+    return Poly(ring, tuple((mono_mul(e, exp), field.mul(c, coeff)) for e, c in f.terms))
 
 
 def _reduce_poly(ring: PolyRing, f: Poly, basis) -> Poly:
@@ -34,7 +50,7 @@ def _reduce_poly(ring: PolyRing, f: Poly, basis) -> Poly:
             out[exp] = coeff
             continue
         q = mono_div(exp, red.lead_exp())
-        factor = field.mul(coeff, field.inv(red.lead_coeff()))
+        factor = field.mul(coeff, field.inv(red.terms[0][1]))
         for e, c in red.terms[1:]:
             e2 = mono_mul(e, q)
             c1 = field.sub(work.get(e2, field.zero()), field.mul(factor, c))
@@ -48,8 +64,8 @@ def _reduce_poly(ring: PolyRing, f: Poly, basis) -> Poly:
 def _spoly(ring: PolyRing, f: Poly, g: Poly) -> Poly:
     field = ring.field
     l = mono_lcm(f.lead_exp(), g.lead_exp())
-    a = ring.mul_term(f, mono_div(l, f.lead_exp()), field.inv(f.lead_coeff()))
-    b = ring.mul_term(g, mono_div(l, g.lead_exp()), field.inv(g.lead_coeff()))
+    a = _mul_term(ring, f, mono_div(l, f.lead_exp()), field.inv(f.terms[0][1]))
+    b = _mul_term(ring, g, mono_div(l, g.lead_exp()), field.inv(g.terms[0][1]))
     return ring.sub(a, b)
 
 
@@ -80,6 +96,59 @@ def rank(field, m: Mat) -> int:
     return len(rref(field, m)[1])
 
 
+# ---------------------------------------------------------------------------
+# Smith form oracles over Z
+
+
+def det(m: Mat) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    if m.nrows != m.ncols:
+        raise ValueError("determinant of non-square matrix")
+    n = m.nrows
+    if n == 0:
+        return 1
+    a = [list(r) for r in m.rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def minors_gcd(m: Mat, k: int) -> int:
+    """gcd of all k-by-k minors (brute force)."""
+    g = 0
+    for rows in combinations(range(m.nrows), k):
+        for cols in combinations(range(m.ncols), k):
+            sub = Mat.from_rows([[m.entry(i, j) for j in cols] for i in rows])
+            g = gcd(g, det(sub))
+    return abs(g)
+
+
+# ---------------------------------------------------------------------------
+# submodules and torsion
+
+
+def submodules_equal(parent: FpModule, cols_a, cols_b) -> bool:
+    """Equality of the two spans as submodules of ``parent``: canonical forms
+    are unique, so the spans are equal when their canonical forms, with the
+    relations of ``parent``, are."""
+    ring = parent.ring
+    rel = parent.relations.cols()
+    return ring.canonical_columns(list(cols_a) + rel, parent.ngens) == \
+        ring.canonical_columns(list(cols_b) + rel, parent.ngens)
+
+
 def stabilized_koszul_level_zero(m: FpModule, a: IdealSpec,
                                  max_stabilization: int = 32):
     """First stable stage of the level-0 Koszul torsion chain.
@@ -89,6 +158,14 @@ def stabilized_koszul_level_zero(m: FpModule, a: IdealSpec,
     """
     return _stable_annihilator(m, lambda i: power_sequence(a, i).generators,
                                max_stabilization, "Koszul level-0 chain")
+
+
+def gamma_idempotence(m: FpModule, a: IdealSpec, max_stabilization: int = 32) -> bool:
+    """``gamma(gamma(M)) = gamma(M)`` as submodules of ``M``."""
+    first = gamma(m, a, max_stabilization)
+    second = gamma(first.module, a, max_stabilization)
+    inner = ring_matmul(m.ring, first.inclusion.matrix, second.inclusion.matrix)
+    return submodules_equal(m, first.inclusion.matrix.cols(), inner.cols())
 
 
 def minimized_by_composition(m: FpModule):
@@ -143,3 +220,115 @@ def minimized_by_composition(m: FpModule):
         from_small = from_small.compose(incl)
         cur = nxt
     return cur, to_small, from_small
+
+
+# ---------------------------------------------------------------------------
+# Hom, Ext and Euler characteristics
+
+
+def hom_module(m: FpModule, n: FpModule):
+    """``(H, morphisms)``: the module ``Hom(m, n)`` and, for each of its
+    generators, the corresponding concrete morphism ``m -> n``."""
+    ring = m.ring
+    if m.ngens == 0 or n.ngens == 0:
+        return zero_module(ring), []
+    p, _, _ = direct_sum([n] * m.ngens)
+    s_rel = m.relations
+    if s_rel.ncols == 0:
+        h, incl = p, identity_morphism(p)
+    else:
+        q, _, _ = direct_sum([n] * s_rel.ncols)
+        rows = []
+        for j in range(s_rel.ncols):
+            for b2 in range(n.ngens):
+                rows.append(tuple(s_rel.entry(k, j) if b == b2 else ring.zero()
+                                  for k in range(m.ngens) for b in range(n.ngens)))
+        h, incl = kernel(ModuleMorphism(p, q, Mat(q.ngens, p.ngens, tuple(rows)), check=False))
+    gens_as_morphisms = []
+    for t in range(h.ngens):
+        col = incl.matrix.col(t)
+        mat_rows = tuple(tuple(col[k * n.ngens + b] for k in range(m.ngens))
+                         for b in range(n.ngens))
+        gens_as_morphisms.append(ModuleMorphism(m, n, Mat(n.ngens, m.ngens, mat_rows),
+                                                check=False))
+    return h, gens_as_morphisms
+
+
+def ext_module(m: FpModule, n: FpModule, p: int, max_length: int | None = None) -> FpModule:
+    """``Ext^p(m, n)`` computed from a free resolution of ``m``."""
+    res = free_resolution(m, max_length=max_length, truncate_at=p + 1)
+    return cohomology(hom_complex(res.complex, module_complex(n)), p)
+
+
+def order(m: FpModule):
+    """Number of elements of a Z-module (None if infinite)."""
+    rank, tors = m.abelian_invariants()
+    return None if rank else prod(tors)
+
+
+def euler_orders(c):
+    """``(prod |C^q|^(+-1), prod |H^q|^(+-1))`` as Fractions, for a complex of
+    finite Z-modules."""
+    chain = Fraction(1)
+    hom_ = Fraction(1)
+    for q in c.degrees():
+        o, oh = order(c.module(q)), order(cohomology(c, q))
+        chain = chain * o if q % 2 == 0 else chain / o
+        hom_ = hom_ * oh if q % 2 == 0 else hom_ / oh
+    return chain, hom_
+
+
+# ---------------------------------------------------------------------------
+# paper checks as oracles
+
+
+def ext_koszul_comparison(m: FpModule, tower: KoszulTower, p: int,
+                          window: int = 1) -> TowerEquivalenceVerdict:
+    """Map the ``ext`` model of local cohomology, ``{Ext^p(A/a^i, M)}``, to
+    the ``koszul`` model through the comparison chain maps
+    ``K(A; a^i) -> F(A/a^i)`` (the identity on the generator in degree 0),
+    and check that the map is a tower equivalence."""
+    ring = m.ring
+    mcx = module_complex(m)
+    one = mat_from_cols([(ring.one(),)], 1)
+    level_maps = []
+    for i, (k, dual) in enumerate(zip(tower.stages, tower.duals), start=1):
+        res = free_resolution(quotient_module(tower.ideal, i), truncate_at=p + 1)
+        hom = hom_complex(res.complex, mcx)
+        unit = ModuleMorphism(k.module(0), res.complex.module(0), one, check=False)
+        hom_map = hom_of_source_map(comparison_map(k, res, unit), mcx, hom_source=hom)
+        # Hom(K, M) is the Koszul stage complex Kdual (x) M
+        stage = tensor_complexes(dual, mcx)
+        adj = ComplexMorphism(hom, stage, {
+            q: ModuleMorphism(hom.module(q), stage.module(q), hom_map.map_at(q).matrix,
+                              check=False) for q in hom.degrees()}, check=False)
+        level_maps.append(induced_cohomology_map(adj, p, check=False))
+    fmap = SystemMap(ext_torsion_tower(m, tower.ideal, p, tower.depth),
+                     koszul_torsion_tower(m, tower, p), level_maps, check=True)
+    return tower_equivalence(fmap, window)
+
+
+def _radical_contains(a: IdealSpec, b: IdealSpec, bound: int) -> bool:
+    """Does every generator of ``b`` have a power inside ``(a)``?"""
+    ring = a.ring
+    ideal = FpModule(ring, 1, [[g] for g in a.generators])
+    for g in b.generators:
+        p = ring.one()
+        for _ in range(bound):
+            p = ring.mul(p, g)
+            if ideal.contains([p]):
+                break
+        else:
+            return False
+    return True
+
+
+def radical_invariance_suite(a: IdealSpec, b: IdealSpec, depth: int = 4,
+                             window: int = 1, exponent_bound: int = 8):
+    """The WPR verdicts of ``a`` and of ``b``, once ``sqrt(a) = sqrt(b)`` is
+    checked up to the exponent bound (``ValueError`` otherwise)."""
+    if not (_radical_contains(a, b, exponent_bound) and
+            _radical_contains(b, a, exponent_bound)):
+        raise ValueError("radical comparability not established within bound")
+    return (weak_proregularity_check(KoszulTower(a, depth), window),
+            weak_proregularity_check(KoszulTower(b, depth), window))

@@ -15,10 +15,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from proregular import groebner
 from proregular.fpmod import (FpModule, ModuleMorphism, minimized,
-                              multiplication_morphism, submodules_equal)
+                              multiplication_morphism)
 from proregular.groebner import TopOrder, columns_to_vectors, vec_lead
 from proregular.rings import integers, quotient_ring, rational_poly_ring
-from reference_algebra import minimized_by_composition
+from reference_algebra import minimized_by_composition, submodules_equal
 from test_quotient_block import (S16, count_reductions, polys, quotient_modules,
                                  witness_ring)
 

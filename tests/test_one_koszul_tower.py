@@ -18,7 +18,7 @@ from proregular.cli import run
 from proregular.fpmod import IdealSpec, free_module
 from proregular.koszul import KoszulTower
 from proregular.rings import integers
-from proregular.torsion import ext_koszul_comparison
+from reference_algebra import ext_koszul_comparison
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "proregular")
 SESSIONS = os.path.join(os.path.dirname(__file__), "..", "sessions")

