@@ -1,7 +1,9 @@
 """The coefficient fields: the rationals and prime fields.
 
-A field is a small arithmetic object (``RationalField`` or ``PrimeField``)
-whose elements are ``Fraction`` values for Q and ints in ``[0, p)`` for F_p.
+A field is a small arithmetic object (``RationalField`` or ``PrimeField``).
+An element of Q is an ``int`` when it is integral and a lowest-terms
+``Fraction`` otherwise, one form per value (see ``RationalField``); an
+element of F_p is an int in ``[0, p)``.
 """
 
 from __future__ import annotations
@@ -20,28 +22,43 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def _integral(q):
+    """``q`` as an ``int`` when its denominator is 1; ``q`` otherwise."""
+    return q if q.__class__ is int or q.denominator != 1 else q.numerator
+
+
 class RationalField:
-    """The field Q; elements are ``Fraction`` values (always lowest terms)."""
+    """The field Q.
+
+    An element is an ``int`` when it is integral and a ``Fraction`` in
+    lowest terms otherwise.  Every operation returns that form (``_integral``
+    turns a result with denominator 1 back into an ``int``), so each value has
+    one representation, and it is canonical: an ``int`` compares, hashes and
+    prints like the ``Fraction`` of the same value, so polynomials, their
+    equality and every report are as with ``Fraction`` elements alone.
+    Arithmetic on integral values, most of a Groebner basis computation,
+    builds no ``Fraction``.
+    """
 
     tag = "Q"
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def coerce(self, x):
-        return Fraction(x)
+        return x if x.__class__ is int else _integral(Fraction(x))
 
     def add(self, a, b):
-        return a + b
+        return _integral(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _integral(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _integral(a * b)
 
     def neg(self, a):
         return -a
@@ -49,7 +66,9 @@ class RationalField:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
+        if a.__class__ is int:
+            return a if a == 1 or a == -1 else Fraction(1, a)
+        return _integral(Fraction(a.denominator, a.numerator))
 
     def is_zero(self, a) -> bool:
         return a == 0

@@ -34,9 +34,16 @@ each has a standard representation within the block.  ``known`` is refused
 together with ``want_syzygies``, since a Schreyer step needs the syzygy of
 every pair, those inside the block included.
 
-``syzygies_of_columns`` computes relations among arbitrary generators by the
-graph (elimination block) method, which also yields division coefficients
-for exact solving via ``GraphBasis``.
+``GraphBasis`` is a Groebner basis of the graph ``{col_j (+) e_j}`` of a
+column list under an elimination order (the graph method): its reducer
+solves ``A x = b`` exactly, and its elements with a zero first block
+generate the syzygies of the columns.
+
+Every order carries ``keys``, a ``KeyMemo`` of its sort keys, so a monomial's
+key is computed once per order object, however many leads and sorts look at
+it; the memo dies with its order.  ``_Reducer`` indexes its leads by
+position, so a reduction step scans only the leads in the position of the
+term it reduces.
 
 Everything is deterministic: bases are kept sorted, pair selection follows
 the normal strategy with a fixed tie-break, and reduced bases are unique.
@@ -46,41 +53,35 @@ from __future__ import annotations
 
 import heapq
 
-from .poly import (Poly, PolyRing, mono_deg, mono_div, mono_divides, mono_lcm,
-                   mono_mul)
+from .poly import (KeyMemo, Poly, PolyRing, mono_deg, mono_div, mono_divides,
+                   mono_lcm, mono_mul)
 
 # ---------------------------------------------------------------------------
 # module layer
 
 
 class ModuleOrder:
-    """Order on module monomials ``(position, exponent)``."""
+    """Order on module monomials ``(position, exponent)``: ``keys[m]`` is the
+    sort key of ``m``, computed once per order object from the memo of the
+    ring order (or of the parent order) below it."""
 
-    def key(self, m):  # pragma: no cover - interface
-        raise NotImplementedError
+    keys: KeyMemo
 
 
 class TopOrder(ModuleOrder):
     """Term over position: ring order first, lower position wins ties."""
 
     def __init__(self, ring_order):
-        self.ring_order = ring_order
-
-    def key(self, m):
-        pos, exp = m
-        return (self.ring_order.key(exp), -pos)
+        ring_keys = ring_order.keys
+        self.keys = KeyMemo(lambda m: (ring_keys[m[1]], -m[0]))
 
 
 class ElimOrder(ModuleOrder):
     """Positions below ``cut`` dominate all others (elimination block)."""
 
     def __init__(self, ring_order, cut: int):
-        self.ring_order = ring_order
-        self.cut = cut
-
-    def key(self, m):
-        pos, exp = m
-        return (1 if pos < self.cut else 0, self.ring_order.key(exp), -pos)
+        ring_keys = ring_order.keys
+        self.keys = KeyMemo(lambda m: (1 if m[0] < cut else 0, ring_keys[m[1]], -m[0]))
 
 
 class SchreyerOrder(ModuleOrder):
@@ -91,13 +92,14 @@ class SchreyerOrder(ModuleOrder):
     """
 
     def __init__(self, parent: ModuleOrder, anchors):
-        self.parent = parent
-        self.anchors = tuple(anchors)
+        anchors = tuple(anchors)
+        parent_keys = parent.keys
 
-    def key(self, m):
-        pos, exp = m
-        apos, aexp = self.anchors[pos]
-        return (self.parent.key((apos, mono_mul(exp, aexp))), -pos)
+        def key(m):
+            pos, exp = m
+            apos, aexp = anchors[pos]
+            return (parent_keys[(apos, mono_mul(exp, aexp))], -pos)
+        self.keys = KeyMemo(key)
 
 
 def vec_is_zero(v: dict) -> bool:
@@ -126,7 +128,7 @@ def vec_neg(field, v: dict) -> dict:
 
 
 def vec_lead(order: ModuleOrder, v: dict):
-    return max(v, key=order.key)
+    return max(v, key=order.keys.__getitem__)
 
 
 def columns_to_vectors(ring: PolyRing, cols) -> list:
@@ -146,48 +148,55 @@ def vectors_to_columns(ring: PolyRing, vecs, nrows: int) -> list:
 
     A vector's keys are distinct and its coefficients nonzero, so each
     entry's terms are sorted once, with no accumulation."""
-    key = ring.order.key
+    keys = ring.order.keys
     cols = []
     for v in vecs:
         col = [[] for _ in range(nrows)]
         for (pos, e), c in v.items():
             col[pos].append((e, c))
-        cols.append([Poly(ring, sorted(terms, key=lambda t: key(t[0]), reverse=True))
+        cols.append([Poly(ring, sorted(terms, key=lambda t: keys[t[0]], reverse=True))
                      for terms in col])
     return cols
 
 
 class _Reducer:
-    """The full-reduction loop; optionally records division terms."""
+    """The full-reduction loop; optionally records division terms.
+
+    ``by_position`` indexes the leads: a lead position maps to its
+    ``(index, lead exponent)`` pairs in ascending index.  A step scans only
+    the leads in its term's position and takes the first that divides, the
+    same reducer that a scan over all leads would find."""
 
     def __init__(self, ring: PolyRing, order: ModuleOrder, basis, leads):
         self.ring = ring
         self.order = order
         self.basis = basis
-        self.leads = leads
+        self.by_position = {}
+        for t, (pos, exp) in enumerate(leads):
+            self.by_position.setdefault(pos, []).append((t, exp))
 
     def reduce(self, v: dict, record: dict | None = None) -> dict:
         """Remainder of ``v``, with its terms in descending order; each step
         subtracts the scaled reducer from the work dict in place."""
         field = self.ring.field
         zero = field.zero()
+        order_key = self.order.keys.__getitem__
+        by_position = self.by_position
         work = dict(v)
         out = {}
         while work:
-            m = vec_lead(self.order, work)
+            m = max(work, key=order_key)
             coeff = work.pop(m)
             pos, exp = m
-            red = None
-            for t, (lpos, lexp) in enumerate(self.leads):
-                if lpos == pos and mono_divides(lexp, exp):
-                    red = t
+            for red, lexp in by_position.get(pos, ()):
+                if mono_divides(lexp, exp):
                     break
-            if red is None:
+            else:
                 out[m] = coeff
                 continue
-            g, lead = self.basis[red], self.leads[red]
-            q = mono_div(exp, lead[1])
-            factor = field.mul(coeff, field.inv(g[lead]))
+            g = self.basis[red]
+            q = mono_div(exp, lexp)
+            factor = field.mul(coeff, field.inv(g[(pos, lexp)]))
             for (gpos, e), c in g.items():
                 k = (gpos, mono_mul(e, q))
                 if k == m:
@@ -236,15 +245,13 @@ def module_groebner(ring: PolyRing, vectors, order: ModuleOrder,
     tagged = [(dict(v), False) for v in vectors if not vec_is_zero(v)]
     tagged += [(dict(v), True) for v in known if not vec_is_zero(v)]
     if not preserve_order:
-        tagged.sort(key=lambda vk: order.key(vec_lead(order, vk[0])))
+        tagged.sort(key=lambda vk: order.keys[vec_lead(order, vk[0])])
     basis = [v for v, _ in tagged]
     is_known = [k for _, k in tagged]
     leads = [vec_lead(order, v) for v in basis]
     reducer = _Reducer(ring, order, basis, leads)
+    by_position = reducer.by_position
     syzygies = []
-    by_position = {}  # lead position -> [(index, lead exponent)]
-    for k, (pos, exp) in enumerate(leads):
-        by_position.setdefault(pos, []).append((k, exp))
 
     def pair_entry(i, j):
         l = mono_lcm(leads[i][1], leads[j][1])
@@ -298,7 +305,7 @@ def minimal_module_basis(order: ModuleOrder, vectors):
     ``(kept, leads)`` in ascending lead order.
     """
     keyed = sorted(((vec_lead(order, v), v) for v in vectors),
-                   key=lambda mv: order.key(mv[0]))
+                   key=lambda mv: order.keys[mv[0]])
     kept = []
     leads = []
     for m, v in keyed:
@@ -322,7 +329,7 @@ def reduced_module_groebner(ring: PolyRing, vectors, order: ModuleOrder,
         lead = vec_lead(order, r)
         inv = field.inv(r[lead])
         kept[idx] = {k: field.mul(c, inv) for k, c in r.items()}
-    kept.sort(key=lambda v: order.key(vec_lead(order, v)), reverse=True)
+    kept.sort(key=lambda v: order.keys[vec_lead(order, v)], reverse=True)
     return kept
 
 
@@ -433,6 +440,6 @@ class GraphBasis:
             if all(pos >= self.nrows for (pos, _) in b):
                 syz.append({(pos - self.nrows, e): c for (pos, e), c in b.items()})
         sub_order = TopOrder(self.ring.order)
-        syz.sort(key=lambda v: sub_order.key(vec_lead(sub_order, v)))
+        syz.sort(key=lambda v: sub_order.keys[vec_lead(sub_order, v)])
         return vectors_to_columns(self.ring, syz, self.ncols)
 

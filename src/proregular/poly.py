@@ -14,12 +14,33 @@ string output is deterministic and round-trips through ``PolyRing.parse``.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, le, sub
 
 from .fieldlinalg import PrimeField, RationalField
 
 
+class KeyMemo(dict):
+    """Sort keys of an order, each computed once: ``memo[m]`` calls
+    ``key(m)`` on the first lookup of ``m`` and stores the result.
+
+    A memo belongs to one order object and dies with it; no memo is kept at
+    module level."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key):
+        self.key = key
+
+    def __missing__(self, m):
+        k = self[m] = self.key(m)
+        return k
+
+
 class MonomialOrder:
-    """A total monomial order: one of ``grevlex``, ``lex``, ``grlex``."""
+    """A total monomial order: one of ``grevlex``, ``lex``, ``grlex``.
+
+    ``keys`` memoizes ``key`` per exponent for the life of the order (one
+    ring's, in practice)."""
 
     VARIANTS = ("grevlex", "lex", "grlex")
 
@@ -27,6 +48,7 @@ class MonomialOrder:
         if variant not in self.VARIANTS:
             raise ValueError(f"unknown monomial order {variant!r}")
         self.variant = variant
+        self.keys = KeyMemo(self.key)
 
     def key(self, exp: tuple):
         if self.variant == "lex":
@@ -48,19 +70,19 @@ class MonomialOrder:
 
 
 def mono_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: tuple, b: tuple) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: tuple, b: tuple) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_deg(a: tuple) -> int:
@@ -150,8 +172,9 @@ class PolyRing:
                 raise ValueError("exponent length mismatch")
             c0 = acc.get(exp, self.field.zero())
             acc[exp] = self.field.add(c0, c)
+        keys = self.order.keys
         terms = [(e, c) for e, c in acc.items() if not self.field.is_zero(c)]
-        terms.sort(key=lambda t: self.order.key(t[0]), reverse=True)
+        terms.sort(key=lambda t: keys[t[0]], reverse=True)
         return Poly(self, terms)
 
     def zero(self) -> Poly:
@@ -195,8 +218,9 @@ class PolyRing:
                 c0 = acc.get(e)
                 c = f.mul(ca, cb)
                 acc[e] = c if c0 is None else f.add(c0, c)
+        keys = self.order.keys
         terms = [(e, c) for e, c in acc.items() if not f.is_zero(c)]
-        terms.sort(key=lambda t: self.order.key(t[0]), reverse=True)
+        terms.sort(key=lambda t: keys[t[0]], reverse=True)
         return Poly(self, terms)
 
     def pow(self, a: Poly, k: int) -> Poly:
@@ -375,7 +399,7 @@ def _parse_poly(ring: PolyRing, text: str) -> Poly:
 
 
 __all__ = [
-    "MonomialOrder", "Poly", "PolyRing", "PolyParseError", "PrimeField",
+    "KeyMemo", "MonomialOrder", "Poly", "PolyRing", "PolyParseError", "PrimeField",
     "RationalField", "mono_mul", "mono_divides", "mono_div", "mono_lcm",
     "mono_deg",
 ]

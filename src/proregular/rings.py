@@ -98,6 +98,8 @@ class IntegerRing:
         return -a
 
     def pow(self, a, k):
+        if k < 0:
+            raise ValueError("negative power")
         return a ** k
 
     def is_zero(self, a) -> bool:
@@ -221,7 +223,7 @@ class PolynomialRing:
 
     def generator_sort(self, elems):
         return sorted(elems,
-                      key=lambda p: tuple(self.order.key(e) for e, _ in p.terms),
+                      key=lambda p: tuple(self.order.keys[e] for e, _ in p.terms),
                       reverse=True)
 
     # the elements of ``ideal_gb``; empty without a quotient
@@ -316,6 +318,8 @@ class QuotientRing(PolynomialRing):
         return self.normalize(self.poly_ring.neg(a))
 
     def pow(self, a, k):
+        if k < 0:
+            raise ValueError("negative power")
         out = self.one()
         for _ in range(k):
             out = self.mul(out, a)

@@ -1,10 +1,10 @@
 """Reference algorithms that tests use as oracles, independent of the engine.
 
-They are textbook versions of engine steps (polynomial division, Gaussian
-elimination, Bareiss determinants, minimization by composing morphisms),
-constructions that no command runs (Hom, Ext of two modules, Euler
-characteristics), and paper checks that tie two models together.  Nothing
-under ``src/`` uses them.
+They are textbook versions of engine steps (polynomial division, module
+reduction by a scan over all leads, Gaussian elimination, Bareiss
+determinants, minimization by composing morphisms), constructions that no
+command runs (Hom, Ext of two modules, Euler characteristics), and paper
+checks that tie two models together.  Nothing under ``src/`` uses them.
 """
 
 from __future__ import annotations
@@ -67,6 +67,41 @@ def _spoly(ring: PolyRing, f: Poly, g: Poly) -> Poly:
     a = _mul_term(ring, f, mono_div(l, f.lead_exp()), field.inv(f.terms[0][1]))
     b = _mul_term(ring, g, mono_div(l, g.lead_exp()), field.inv(g.terms[0][1]))
     return ring.sub(a, b)
+
+
+def reduce_by_scan(field, key, basis, leads, v: dict, record: dict | None = None) -> dict:
+    """Remainder of the module vector ``v`` by ``basis``, the textbook loop:
+    the largest term under the sort key ``key`` is reduced by the first
+    element, in index order over all of ``leads``, whose lead has the term's
+    position and divides its exponent.  ``record`` collects the division
+    terms ``(index, multiplier) -> factor``."""
+    zero = field.zero()
+    work = dict(v)
+    out = {}
+    while work:
+        m = max(work, key=key)
+        coeff = work.pop(m)
+        pos, exp = m
+        red = next((t for t, (lpos, lexp) in enumerate(leads)
+                    if lpos == pos and mono_divides(lexp, exp)), None)
+        if red is None:
+            out[m] = coeff
+            continue
+        g, lead = basis[red], leads[red]
+        q = mono_div(exp, lead[1])
+        factor = field.mul(coeff, field.inv(g[lead]))
+        for (gpos, e), c in g.items():
+            k = (gpos, mono_mul(e, q))
+            if k == m:
+                continue
+            c1 = field.sub(work.get(k, zero), field.mul(c, factor))
+            if field.is_zero(c1):
+                work.pop(k, None)
+            else:
+                work[k] = c1
+        if record is not None:
+            record[(red, q)] = field.add(record.get((red, q), zero), factor)
+    return out
 
 
 def rref(field, m: Mat):

@@ -60,14 +60,17 @@ def matvec(ring, cols, coeffs, nrows):
     return out
 
 
+# four columns of a rank-two module over Q[x,y,z]
+RANK_TWO_MODULE = [["3*x*y^2*z^2 - 2*x*z^2", "x^2*y^2*z + 3*x^2*z"],
+                   ["2*x*y^2", "-2*x*y^2*z^2 + x*y^2"],
+                   ["2*x^2*y^2 + 3*x", "3*x^2*y*z^2 + x*z"],
+                   ["2*y^2*z^2 + 3*x^2*z", "-x^2*y"]]
+
+
 def test_canonical_form_of_rank_two_module_over_q():
     """A canonical form that ran for more than 20 s without pair pruning."""
     R = rational_poly_ring(("x", "y", "z"))
-    P = R.parse
-    cols = [[P("3*x*y^2*z^2 - 2*x*z^2"), P("x^2*y^2*z + 3*x^2*z")],
-            [P("2*x*y^2"), P("-2*x*y^2*z^2 + x*y^2")],
-            [P("2*x^2*y^2 + 3*x"), P("3*x^2*y*z^2 + x*z")],
-            [P("2*y^2*z^2 + 3*x^2*z"), P("-x^2*y")]]
+    cols = [[R.parse(t) for t in col] for col in RANK_TWO_MODULE]
     out = R.canonical_columns(cols, 2)
     assert len(out) == 26
     ring, order = R.poly_ring, TopOrder(R.order)
