@@ -13,7 +13,7 @@ import time
 
 from .complexes import cohomology
 from .fieldlinalg import is_prime
-from .fpmod import IdealSpec, cokernel, kernel
+from .fpmod import IdealSpec, kernel_generators, quotient_by
 from .koszul import (KoszulTower, copointed_idempotence_check,
                      weak_proregularity_check)
 from .reports import (SCHEMA_VERSION, module_summary, render_json, render_tsv,
@@ -92,13 +92,11 @@ def _system_levels(system) -> list:
 
 
 def _transition_flags(system) -> list:
-    """Per transition: is it injective / surjective (kernel/cokernel zero)?"""
-    out = []
-    for tr in system.transitions:
-        k, _ = kernel(tr)
-        c, _, _ = cokernel(tr)
-        out.append({"injective": k.is_zero(), "surjective": c.is_zero()})
-    return out
+    """Per transition: is it injective (every kernel generator is zero in
+    the source) / surjective (the target modulo the image is zero)?"""
+    return [{"injective": all(map(tr.source.contains, kernel_generators(tr))),
+             "surjective": quotient_by(tr.target, tr.matrix.cols()).is_zero()}
+            for tr in system.transitions]
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +165,10 @@ def _cmd_completion_tower(session, args):
         if args.complex not in session.complexes:
             raise CliInputError(f"unknown complex {args.complex!r}")
         cx = session.complexes[args.complex]
-        towers = derived_completion_tower(cx, KoszulTower(ideal, args.depth))
+        try:
+            towers = derived_completion_tower(cx, KoszulTower(ideal, args.depth))
+        except ValueError as exc:
+            raise CliInputError(str(exc)) from None
         details = {
             "ideal": _ideal_dict(ideal),
             "complex": args.complex,

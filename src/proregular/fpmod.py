@@ -12,6 +12,14 @@ cokernel also with a section on generators), and all subquotient
 constructions are minimized (unit-pivot pruning) so tower-level objects stay
 small.
 
+Stored relations never pass through a canonical form again: they join the
+engine as a known basis (``quotient_by``, ``factor_through``), relations on
+disjoint positions are canonical together (``direct_sum``), and a kernel's
+relations are read off one graph basis over its generators with the source
+relations known.  The generators keep the graph with the target relations as
+tailed columns: they are the kernel's presentation, on which module
+summaries depend.
+
 Over a quotient backend ``A/I`` the ring's matrix services work modulo
 ``I * A^r``, so all formulas below are backend-agnostic.  The canonical
 relations of a module over ``A/I`` include the reduced block ``g * e_k`` for
@@ -98,21 +106,29 @@ class FpModule:
 
     __slots__ = ("ring", "ngens", "relations", "name", "free_rank", "_member")
 
-    def __init__(self, ring, ngens: int, relation_columns, name=None, free_rank=None):
-        self.ring = ring
-        self.ngens = ngens
+    def __init__(self, ring, ngens: int, relation_columns, name=None):
         cols = [[ring.coerce(x) for x in col] for col in relation_columns]
         for col in cols:
             if len(col) != ngens:
                 raise ModuleError("relation column length must equal generator count")
-        nonzero = structurally_nonzero(ring)
-        cols = [c for c in cols if any(map(nonzero, c))]
-        if free_rank is None and not cols:
-            free_rank = ngens
-        cols = ring.canonical_columns(cols, ngens)
+        self._present(ring, ngens, ring.canonical_columns(cols, ngens), name)
+
+    @classmethod
+    def canonical(cls, ring, ngens: int, cols, name=None) -> "FpModule":
+        """The module with the canonical relations ``cols``, taken as they
+        are: coercion would turn stored block columns to zero over ``A/I``."""
+        m = cls.__new__(cls)
+        m._present(ring, ngens, cols, name)
+        return m
+
+    def _present(self, ring, ngens, cols, name):
+        """Free (``free_rank`` is ``ngens``) when every relation vanishes:
+        there are none, or they are the bare block."""
+        self.ring = ring
+        self.ngens = ngens
         self.relations = mat_from_cols([tuple(c) for c in cols], ngens)
         self.name = name
-        self.free_rank = free_rank
+        self.free_rank = ngens if all(map(ring.column_vanishes, cols)) else None
         self._member = None
 
     # -- plumbing -----------------------------------------------------------
@@ -148,11 +164,11 @@ class FpModule:
 
 
 def free_module(ring, r: int, name=None) -> FpModule:
-    return FpModule(ring, r, [], name=name, free_rank=r)
+    return FpModule(ring, r, [], name=name)
 
 
 def zero_module(ring) -> FpModule:
-    return FpModule(ring, 0, [], name="0", free_rank=0)
+    return FpModule(ring, 0, [], name="0")
 
 
 # ---------------------------------------------------------------------------
@@ -318,38 +334,49 @@ def _relations_among(ring, cols, target: FpModule):
     return [h for h in heads if any(not ring.is_zero(x) for x in h)]
 
 
-def kernel(phi: ModuleMorphism):
-    """``(K, incl)`` with ``incl : K -> source`` the canonical inclusion.
-
-    ``K`` is generated by ``{m in A^{g_src} : phi(m) in im(target relations)}``
-    and related by the relations of the source."""
+def kernel_generators(phi: ModuleMorphism) -> list:
+    """Generators of ``{m in A^{g_src} : phi(m) in im(target relations)}``:
+    the cut heads of the syzygies of ``[phi | target relations]``."""
     ring = phi.source.ring
     g_src = phi.source.ngens
     if phi.target.ngens == 0:
-        gens = [[ring.one() if t == k else ring.zero() for t in range(g_src)]
+        return [[ring.one() if t == k else ring.zero() for t in range(g_src)]
                 for k in range(g_src)]
-    else:
-        gens = _relations_among(ring, [phi.matrix.col(j) for j in range(g_src)], phi.target)
+    return _relations_among(ring, [phi.matrix.col(j) for j in range(g_src)], phi.target)
+
+
+def kernel(phi: ModuleMorphism):
+    """``(K, incl)`` with ``incl : K -> source`` the canonical inclusion.
+
+    ``K`` is generated by ``kernel_generators(phi)``, and its relations are
+    the ``c`` with ``sum_j c_j gens_j`` in the span of the source relations:
+    one graph basis over the generators, with the source's canonical
+    relations known, gives their canonical form."""
+    ring = phi.source.ring
+    g_src = phi.source.ngens
+    gens = kernel_generators(phi)
     lmat = mat_from_cols([tuple(c) for c in gens], g_src)
-    rels = _relations_among(ring, gens, phi.source) if gens else []
-    raw = FpModule(ring, lmat.ncols, rels)
-    small, _, from_small = minimized(raw)
+    rels = ring.span_oracle(gens, g_src, phi.source.relations.cols()).canonical_syzygies() \
+        if gens else []
+    small, _, from_small = minimized(FpModule.canonical(ring, len(gens), rels))
     incl_matrix = ring_matmul(ring, lmat, from_small.matrix) if lmat.ncols else \
         ring_zero_mat(ring, g_src, 0)
     incl = ModuleMorphism(small, phi.source, incl_matrix, check=False)
     return small, incl
 
 
+def quotient_by(m: FpModule, cols, name=None) -> FpModule:
+    """``m`` modulo the span of ``cols``."""
+    return FpModule.canonical(m.ring, m.ngens,
+                              m.ring.canonical_columns(cols, m.ngens, m.relations.cols()),
+                              name=name)
+
+
 def cokernel(phi: ModuleMorphism):
     """``(C, proj, section)``: ``proj : target -> C`` and a representative
     matrix ``section`` (target generators for each generator of ``C``), so
     that ``proj.matrix * section`` is the identity."""
-    ring = phi.source.ring
-    rel_t = phi.target.relations
-    cols = [list(phi.matrix.col(j)) for j in range(phi.matrix.ncols)] + \
-        [list(rel_t.col(j)) for j in range(rel_t.ncols)]
-    raw = FpModule(ring, phi.target.ngens, cols)
-    small, to_small, from_small = minimized(raw)
+    small, to_small, from_small = minimized(quotient_by(phi.target, phi.matrix.cols()))
     proj = ModuleMorphism(phi.target, small, to_small.matrix, check=False)
     return small, proj, from_small.matrix
 
@@ -359,15 +386,13 @@ def factor_through(gens: Mat, target: FpModule, want: Mat, message: str,
     """Coordinates on ``gens`` of every column of ``want``, modulo the rest.
 
     Each column of ``want`` is solved in the span of the columns of
-    ``gens``, then ``extra_cols``, then ``target.relations``, in that order;
-    the result keeps the ``gens`` part of each solution, one column per
-    column of ``want``.  Raises ``ModuleError(message)`` when a column is
-    not in the span.
+    ``gens``, then ``extra_cols``, modulo ``target.relations`` (which join
+    as known, with no coordinates); the result keeps the ``gens`` part of
+    each solution, one column per column of ``want``.  Raises
+    ``ModuleError(message)`` when a column is not in the span.
     """
-    rel = target.relations
-    oracle = target.ring.span_oracle(
-        [list(gens.col(j)) for j in range(gens.ncols)] + [list(c) for c in extra_cols] +
-        [list(rel.col(j)) for j in range(rel.ncols)], target.ngens)
+    oracle = target.ring.span_oracle(gens.cols() + list(extra_cols), target.ngens,
+                                     target.relations.cols())
     cols = []
     for j in range(want.ncols):
         sol = oracle.solve(list(want.col(j)))
@@ -394,15 +419,14 @@ def direct_sum(modules, name=None):
     for m in modules:
         offsets.append(total)
         total += m.ngens
+    # canonical relations on disjoint positions are canonical together
     cols = []
-    for idx, m in enumerate(modules):
-        for j in range(m.relations.ncols):
+    for off, m in zip(offsets, modules):
+        for rel in m.relations.cols():
             col = [ring.zero()] * total
-            for i in range(m.ngens):
-                col[offsets[idx] + i] = m.relations.entry(i, j)
+            col[off:off + m.ngens] = rel
             cols.append(col)
-    free_rank = total if all(m.free_rank is not None for m in modules) else None
-    s = FpModule(ring, total, cols, name=name, free_rank=free_rank)
+    s = FpModule.canonical(ring, total, ring.canonical_order(cols), name=name)
     inclusions, projections = [], []
     for idx, m in enumerate(modules):
         iin = ring_zero_mat(ring, total, m.ngens)
@@ -439,8 +463,7 @@ def tensor_module(m: FpModule, n: FpModule, name=None) -> FpModule:
             for b in range(n.ngens):
                 col[a * n.ngens + b] = n.relations.entry(b, j)
             cols.append(col)
-    free_rank = g if (m.free_rank is not None and n.free_rank is not None) else None
-    return FpModule(ring, g, cols, name=name, free_rank=free_rank)
+    return FpModule(ring, g, cols, name=name)
 
 
 # ---------------------------------------------------------------------------

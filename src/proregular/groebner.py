@@ -3,7 +3,8 @@
 Elements of a free module ``A^r`` are sparse dicts
 ``{(position, exponent): coeff}``.  There is one engine: ``module_groebner``
 is the only Buchberger loop, ``_Reducer.reduce`` the only reduction loop and
-``reduced_module_groebner`` the only inter-reduction.  S-pairs are restricted
+``interreduce`` the only inter-reduction (a Groebner basis to the reduced
+one, with no S-pair).  S-pairs are restricted
 to equal leading positions; the loop optionally records, for every S-pair
 reduction to zero, the corresponding syzygy -- that set of syzygies is a
 Groebner basis of the syzygy module with respect to the Schreyer order
@@ -37,7 +38,11 @@ every pair, those inside the block included.
 ``GraphBasis`` is a Groebner basis of the graph ``{col_j (+) e_j}`` of a
 column list under an elimination order (the graph method): its reducer
 solves ``A x = b`` exactly, and its elements with a zero first block
-generate the syzygies of the columns.
+generate the syzygies of the columns.  ``ElimOrder`` puts every first-block
+monomial above every tail monomial and agrees with ``TopOrder`` on the tail,
+so by the elimination property (Eisenbud, *Commutative Algebra*, Sec. 15.10)
+those elements are a ``TopOrder`` Groebner basis of the syzygy module (modulo
+``known``): its reduced basis needs only ``interreduce``.
 
 Every order carries ``keys``, a ``KeyMemo`` of its sort keys, so a monomial's
 key is computed once per order object, however many leads and sorts look at
@@ -315,11 +320,9 @@ def minimal_module_basis(order: ModuleOrder, vectors):
     return kept, leads
 
 
-def reduced_module_groebner(ring: PolyRing, vectors, order: ModuleOrder,
-                            known=()):
-    """Unique fully reduced, monic module Groebner basis (sorted desc) of
-    the submodule generated by ``vectors`` and the Groebner basis ``known``."""
-    basis, _ = module_groebner(ring, vectors, order, known=known)
+def interreduce(ring: PolyRing, basis, order: ModuleOrder):
+    """The unique reduced, monic basis (sorted desc) of the submodule that
+    the Groebner basis ``basis`` generates."""
     field = ring.field
     kept, kept_leads = minimal_module_basis(order, basis)
     for idx in range(len(kept)):
@@ -331,6 +334,13 @@ def reduced_module_groebner(ring: PolyRing, vectors, order: ModuleOrder,
         kept[idx] = {k: field.mul(c, inv) for k, c in r.items()}
     kept.sort(key=lambda v: order.keys[vec_lead(order, v)], reverse=True)
     return kept
+
+
+def reduced_module_groebner(ring: PolyRing, vectors, order: ModuleOrder,
+                            known=()):
+    """Unique fully reduced, monic module Groebner basis (sorted desc) of
+    the submodule generated by ``vectors`` and the Groebner basis ``known``."""
+    return interreduce(ring, module_groebner(ring, vectors, order, known=known)[0], order)
 
 
 # ---------------------------------------------------------------------------
@@ -433,13 +443,22 @@ class GraphBasis:
             out[pos - self.nrows][exp] = field.neg(c)
         return [self.ring.from_terms(d.items()) for d in out]
 
+    def _tail(self):
+        """The basis elements with no first block, on the column positions."""
+        n = self.nrows
+        return [{(pos - n, e): c for (pos, e), c in b.items()}
+                for b in self.basis if all(pos >= n for pos, _ in b)]
+
     def syzygy_columns(self):
         """Generators of the syzygy module of the original columns."""
-        syz = []
-        for b in self.basis:
-            if all(pos >= self.nrows for (pos, _) in b):
-                syz.append({(pos - self.nrows, e): c for (pos, e), c in b.items()})
+        syz = self._tail()
         sub_order = TopOrder(self.ring.order)
         syz.sort(key=lambda v: sub_order.keys[vec_lead(sub_order, v)])
         return vectors_to_columns(self.ring, syz, self.ncols)
+
+    def canonical_syzygies(self):
+        """The syzygy module's reduced ``TopOrder`` basis, as columns."""
+        order = TopOrder(self.ring.order)
+        return vectors_to_columns(self.ring, interreduce(self.ring, self._tail(), order),
+                                  self.ncols)
 

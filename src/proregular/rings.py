@@ -3,14 +3,21 @@
 A ring descriptor bundles element arithmetic with the matrix services every
 module computation reduces to:
 
-* ``canonical_columns`` -- a canonical generating set of the column span
-  (column HNF over Z, reduced module Groebner basis over polynomials),
+* ``canonical_columns(cols, nrows, relations)`` -- a canonical generating
+  set of the column span (column HNF over Z, reduced module Groebner basis
+  over polynomials),
 * ``canonical_member(cols, nrows)`` -- membership in the span of such a
   canonical set: back-substitution through the HNF's pivots over Z, a zero
   remainder against the reduced basis over polynomials; no S-pair is formed,
-* ``span_oracle(cols, nrows)`` -- exact solving and syzygies for the span of
-  any columns (Hermite form over Z, Groebner graph bases over polynomials),
+* ``span_oracle(cols, nrows, relations)`` -- exact solving, syzygies and
+  their canonical form for the span of any columns (Hermite form over Z,
+  Groebner graph bases over polynomials),
 * ``kernel_of_columns`` -- generators of ``{v : sum v_j col_j = 0}``.
+
+``relations`` are a module's stored canonical relations: over polynomials
+a reduced Groebner basis, which joins the engine as ``known`` (no S-pair
+inside it, no ``e_j`` tail, so answers are modulo its span with coordinates
+on ``cols`` only); over Z they join the Hermite form as columns.
 
 Quotient rings ``A/I`` reuse the polynomial engine: elements are stored as
 normal forms modulo the reduced Groebner basis ``ideal_gb`` of ``I``, and
@@ -51,20 +58,32 @@ class RingError(ValueError):
     pass
 
 
+def _hnf_columns(cols, nrows):
+    if not cols:
+        return []
+    h = canonical_column_form(mat_from_cols([tuple(c) for c in cols], nrows))
+    return [list(h.col(j)) for j in range(h.ncols)]
+
+
 class _ZSpanOracle:
     """Column-span services over Z, backed by one column HNF."""
 
-    def __init__(self, cols, nrows):
+    def __init__(self, cols, nrows, relations=()):
         self.nrows = nrows
-        self.m = mat_from_cols([tuple(c) for c in cols], nrows)
+        self.ncols = len(cols)
+        self.m = mat_from_cols([tuple(c) for c in cols] + [tuple(c) for c in relations],
+                               nrows)
 
     def solve(self, target):
         x = solve_columns(self.m, mat_from_cols([tuple(target)], self.nrows))
-        return None if x is None else list(x.col(0))
+        return None if x is None else list(x.col(0))[:self.ncols]
 
     def syzygy_columns(self):
         k = kernel_basis(self.m)
-        return [list(k.col(j)) for j in range(k.ncols)]
+        return [list(k.col(j))[:self.ncols] for j in range(k.ncols)]
+
+    def canonical_syzygies(self):
+        return _hnf_columns(self.syzygy_columns(), self.ncols)
 
 
 class IntegerRing:
@@ -128,23 +147,27 @@ class IntegerRing:
     def generator_sort(self, elems):
         return sorted(elems, key=lambda e: (abs(e), e))
 
-    def span_oracle(self, cols, nrows):
-        return _ZSpanOracle(cols, nrows)
+    def span_oracle(self, cols, nrows, relations=()):
+        return _ZSpanOracle(cols, nrows, relations)
 
     def kernel_of_columns(self, cols, nrows):
         return _ZSpanOracle(cols, nrows).syzygy_columns()
 
-    def canonical_columns(self, cols, nrows):
-        if not cols:
-            return []
-        h = canonical_column_form(mat_from_cols([tuple(c) for c in cols], nrows))
-        return [list(h.col(j)) for j in range(h.ncols)]
+    def canonical_columns(self, cols, nrows, relations=()):
+        return _hnf_columns(list(cols) + list(relations), nrows)
 
     def canonical_member(self, cols, nrows):
         """Membership in the span of ``cols``, a column HNF as
         ``canonical_columns`` returns it."""
         coordinates = hnf_solver(mat_from_cols([tuple(c) for c in cols], nrows))
         return lambda col: coordinates(col) is not None
+
+    def column_vanishes(self, col) -> bool:
+        return not any(col)
+
+    def canonical_order(self, cols):
+        """HNFs on disjoint rows, put together in HNF order (by pivot row)."""
+        return sorted(cols, key=lambda c: next(i for i, x in enumerate(c) if x))
 
     def __eq__(self, other):
         return isinstance(other, IntegerRing)
@@ -234,25 +257,31 @@ class PolynomialRing:
         ``TopOrder`` lead; empty without a quotient."""
         return ()
 
-    def span_oracle(self, cols, nrows):
-        """Graph-method oracle modulo ``I * A^nrows``.  A column whose every
-        nonzero entry is an element of ``ideal_gb`` lies in the block's span,
-        so it enters the graph as a zero column and keeps its coordinate."""
+    def column_vanishes(self, col) -> bool:
+        """Is every nonzero entry of ``col`` an element of ``ideal_gb``?"""
         block = self._ideal_polys
+        return all(not p.terms or p in block for p in col)
+
+    def span_oracle(self, cols, nrows, relations=()):
+        """Graph-method oracle modulo ``relations`` (else the block).  A
+        column that vanishes lies in the block's span, so it enters the graph
+        as a zero column and keeps its coordinate."""
         zero = [self.zero()] * nrows
-        cols = [zero if all(not p.terms or p in block for p in c) else list(c)
-                for c in cols]
-        return GraphBasis(self.poly_ring, cols, nrows, known=self._ideal_block(nrows))
+        cols = [zero if self.column_vanishes(c) else list(c) for c in cols]
+        known = columns_to_vectors(self.poly_ring, relations) if relations else \
+            self._ideal_block(nrows)
+        return GraphBasis(self.poly_ring, cols, nrows, known=known)
 
     def kernel_of_columns(self, cols, nrows):
         return self.span_oracle(cols, nrows).syzygy_columns()
 
-    def canonical_columns(self, cols, nrows):
-        """Reduced module Groebner basis of the columns and the block; with
-        no nonzero column it is the block as it stands."""
-        vecs = columns_to_vectors(self.poly_ring, [list(c) for c in cols])
-        vecs = [v for v in vecs if v]
-        basis = self._ideal_block(nrows)
+    def canonical_columns(self, cols, nrows, relations=()):
+        """Reduced module Groebner basis of the columns and ``relations``
+        (else the block), which join as known; with no nonzero column it is
+        the known basis as it stands."""
+        vecs = [v for v in columns_to_vectors(self.poly_ring, cols) if v]
+        basis = columns_to_vectors(self.poly_ring, relations) if relations else \
+            self._ideal_block(nrows)
         if vecs:
             basis = reduced_module_groebner(self.poly_ring, vecs, TopOrder(self.order),
                                             known=basis)
@@ -267,6 +296,15 @@ class PolynomialRing:
         vecs = columns_to_vectors(self.poly_ring, cols)
         reducer = _Reducer(self.poly_ring, order, vecs, [vec_lead(order, v) for v in vecs])
         return lambda col: not reducer.reduce(columns_to_vectors(self.poly_ring, [col])[0])
+
+    def canonical_order(self, cols):
+        """Reduced bases on disjoint positions, put together in the order of
+        a reduced basis (by descending ``TopOrder`` lead)."""
+        keys = self.order.keys
+
+        def lead(col):
+            return max((keys[p.terms[0][0]], -pos) for pos, p in enumerate(col) if p.terms)
+        return sorted(cols, key=lead, reverse=True)
 
     def __eq__(self, other):
         return isinstance(other, PolynomialRing) and not isinstance(other, QuotientRing) \

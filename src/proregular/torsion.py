@@ -34,7 +34,7 @@ from .complexes import (BoundedComplex, ComplexMorphism, block_identity_map,
                         identity_complex_morphism, induced_cohomology_map,
                         module_complex, tensor_complexes, tensor_complex_morphisms)
 from .fpmod import (FpModule, IdealSpec, ModuleMorphism, annihilated_by_elements,
-                    identity_morphism, ideal_power, quotient_module)
+                    identity_morphism, ideal_power, quotient_by, quotient_module)
 from .intlinalg import Mat, mat_from_cols
 from .koszul import KoszulTower
 from .resolutions import free_resolution, lift_through_resolution
@@ -71,8 +71,7 @@ def _stable_annihilator(m: FpModule, elements_at, max_stabilization: int,
     prev = None
     for i in range(1, max_stabilization + 1):
         sub, incl = annihilated_by_elements(m, elements_at(i))
-        cols = [list(incl.matrix.col(j)) for j in range(incl.matrix.ncols)]
-        form = m.ring.canonical_columns(cols + rel, m.ngens)
+        form = m.ring.canonical_columns(incl.matrix.cols(), m.ngens, rel)
         if prev is not None and form == prev[2]:
             return prev[0], prev[1], i - 1
         prev = sub, incl, form
@@ -141,12 +140,11 @@ def _quotient_tower(m: FpModule, levels) -> ProSystem:
     """``{M / (s_1, ..., s_r) M}`` for each ``(scalars, name)`` in ``levels``,
     with the surjections that are the identity on generators."""
     ring = m.ring
-    rel_cols = [list(m.relations.col(j)) for j in range(m.relations.ncols)]
     objects = []
     for scalars, name in levels:
         extra = [[s if t == k else ring.zero() for t in range(m.ngens)]
                  for s in scalars for k in range(m.ngens)]
-        objects.append(FpModule(ring, m.ngens, rel_cols + extra, name=name))
+        objects.append(quotient_by(m, extra, name=name))
     transitions = [ModuleMorphism(objects[i + 1], objects[i],
                                   identity_morphism(m).matrix, check=False)
                    for i in range(len(objects) - 1)]

@@ -48,7 +48,7 @@ class _System:
             raise TowerError("need exactly one transition per adjacent pair")
         if check:
             for t, tr in enumerate(self.transitions):
-                s, d = self._endpoints(t)
+                s, d = self._endpoints(t, t + 1)
                 if tr.source.ngens != self.objects[s].ngens or \
                         tr.target.ngens != self.objects[d].ngens:
                     raise TowerError(f"transition {t + 1} has wrong endpoints")
@@ -61,11 +61,13 @@ class _System:
         """1-based level access."""
         return self.objects[i - 1]
 
-    def _endpoints(self, t: int):
-        """``(s, d)``: ``transitions[t]`` maps ``objects[s]`` to ``objects[d]``."""
+    def _endpoints(self, i: int, j: int):
+        """``(source, target)`` of the maps between the levels ``i < j``
+        (``transitions[t]`` maps ``objects[s]`` to ``objects[d]`` for
+        ``s, d = _endpoints(t, t + 1)``)."""
         raise NotImplementedError
 
-    def composite(self, i: int, j: int) -> ModuleMorphism:
+    def composite(self, source: int, target: int) -> ModuleMorphism:
         raise NotImplementedError
 
 
@@ -74,15 +76,16 @@ class ProSystem(_System):
 
     direction = "pro"
 
-    def _endpoints(self, t: int):
-        return t + 1, t
+    def _endpoints(self, i: int, j: int):
+        return j, i
 
-    def composite(self, j: int, i: int) -> ModuleMorphism:
-        """The map ``X_j -> X_i`` for ``j >= i`` (identity when equal)."""
-        if not 1 <= i <= j <= self.depth:
-            raise TowerError(f"bad composite indices {j} -> {i}")
-        out = identity_morphism(self.object(j))
-        for t in range(j - 1, i - 1, -1):
+    def composite(self, source: int, target: int) -> ModuleMorphism:
+        """The map ``X_source -> X_target`` for ``source >= target``
+        (identity when equal)."""
+        if not 1 <= target <= source <= self.depth:
+            raise TowerError(f"bad composite indices {source} -> {target}")
+        out = identity_morphism(self.object(source))
+        for t in range(source - 1, target - 1, -1):
             out = self.transitions[t - 1].compose(out)
         return out
 
@@ -92,15 +95,16 @@ class IndSystem(_System):
 
     direction = "ind"
 
-    def _endpoints(self, t: int):
-        return t, t + 1
+    def _endpoints(self, i: int, j: int):
+        return i, j
 
-    def composite(self, i: int, j: int) -> ModuleMorphism:
-        """The map ``X_i -> X_j`` for ``i <= j`` (identity when equal)."""
-        if not 1 <= i <= j <= self.depth:
-            raise TowerError(f"bad composite indices {i} -> {j}")
-        out = identity_morphism(self.object(i))
-        for t in range(i, j):
+    def composite(self, source: int, target: int) -> ModuleMorphism:
+        """The map ``X_source -> X_target`` for ``source <= target``
+        (identity when equal)."""
+        if not 1 <= source <= target <= self.depth:
+            raise TowerError(f"bad composite indices {source} -> {target}")
+        out = identity_morphism(self.object(source))
+        for t in range(source, target):
             out = self.transitions[t - 1].compose(out)
         return out
 
@@ -149,9 +153,7 @@ def vanishing_check(system: _System, window: int = 1) -> VanishingVerdict:
     for i in range(1, n):
         least = None
         for j in range(i + 1, n + 1):
-            comp = system.composite(j, i) if system.direction == "pro" \
-                else system.composite(i, j)
-            if comp.is_zero_morphism():
+            if system.composite(*system._endpoints(i, j)).is_zero_morphism():
                 least = j
                 break
         certificates[i] = least
@@ -191,7 +193,7 @@ class SystemMap:
             raise TowerError("need one map per level")
         if check:
             for t in range(source.depth - 1):
-                s, d = source._endpoints(t)
+                s, d = source._endpoints(t, t + 1)
                 left = self.maps[d].compose(source.transitions[t])
                 right = target.transitions[t].compose(self.maps[s])
                 if not left.sub(right).is_zero_morphism():
@@ -207,7 +209,7 @@ class SystemMap:
         incls = [kernel(f)[1] for f in self.maps]
         trans = []
         for t, tr in enumerate(self.source.transitions):
-            s, d = self.source._endpoints(t)
+            s, d = self.source._endpoints(t, t + 1)
             trans.append(_lift_into_submodule(tr.compose(incls[s]), incls[d]))
         return type(self.source)([i.source for i in incls], trans, check=False)
 
@@ -218,7 +220,7 @@ class SystemMap:
         cokers = [cokernel(f) for f in self.maps]
         trans = []
         for t, tr in enumerate(self.target.transitions):
-            s, d = self.target._endpoints(t)
+            s, d = self.target._endpoints(t, t + 1)
             (c_s, _, section), (c_d, proj_d, _) = cokers[s], cokers[d]
             comp = ring_matmul(c_s.ring, proj_d.compose(tr).matrix, section)
             trans.append(ModuleMorphism(c_s, c_d, comp, check=False))

@@ -2,7 +2,8 @@
 
 They are textbook versions of engine steps (polynomial division, module
 reduction by a scan over all leads, Gaussian elimination, Bareiss
-determinants, minimization by composing morphisms), constructions that no
+determinants, minimization by composing morphisms, kernel relations and
+cokernels through a second canonical form), constructions that no
 command runs (Hom, Ext of two modules, Euler characteristics), and paper
 checks that tie two models together.  Nothing under ``src/`` uses them.
 """
@@ -16,14 +17,14 @@ from math import gcd, prod
 from proregular.complexes import (ComplexMorphism, cohomology, hom_complex,
                                   hom_of_source_map, induced_cohomology_map,
                                   module_complex, tensor_complexes)
-from proregular.fpmod import (FpModule, IdealSpec, ModuleMorphism, direct_sum,
-                              identity_morphism, kernel, power_sequence,
-                              quotient_module, zero_module)
+from proregular.fpmod import (FpModule, IdealSpec, ModuleMorphism, _relations_among,
+                              direct_sum, identity_morphism, kernel, kernel_generators,
+                              minimized, power_sequence, quotient_module, zero_module)
 from proregular.intlinalg import Mat, mat_from_cols
 from proregular.koszul import KoszulTower, weak_proregularity_check
 from proregular.poly import Poly, PolyRing, mono_div, mono_divides, mono_lcm, mono_mul
 from proregular.resolutions import comparison_map, free_resolution
-from proregular.rings import ring_matmul
+from proregular.rings import ring_matmul, ring_zero_mat
 from proregular.torsion import (_stable_annihilator, ext_torsion_tower, gamma,
                                 koszul_torsion_tower)
 from proregular.towers import SystemMap, TowerEquivalenceVerdict, tower_equivalence
@@ -255,6 +256,30 @@ def minimized_by_composition(m: FpModule):
         from_small = from_small.compose(incl)
         cur = nxt
     return cur, to_small, from_small
+
+
+def kernel_by_second_canonical_form(phi: ModuleMorphism):
+    """``(K, incl)`` as ``fpmod.kernel`` gives them, with the relation step
+    of the graph method: the cut heads of the syzygies of ``[gens | source
+    relations]``, tails and all, put through a second canonical form."""
+    ring = phi.source.ring
+    gens = kernel_generators(phi)
+    lmat = mat_from_cols([tuple(c) for c in gens], phi.source.ngens)
+    rels = _relations_among(ring, gens, phi.source) if gens else []
+    small, _, from_small = minimized(FpModule(ring, lmat.ncols, rels))
+    incl_matrix = ring_matmul(ring, lmat, from_small.matrix) if lmat.ncols else \
+        ring_zero_mat(ring, phi.source.ngens, 0)
+    return small, ModuleMorphism(small, phi.source, incl_matrix, check=False)
+
+
+def cokernel_by_concatenation(phi: ModuleMorphism):
+    """``(C, proj, section)`` as ``fpmod.cokernel`` gives them, from the
+    canonical form of ``[phi | target relations]`` with no known part."""
+    ring = phi.source.ring
+    raw = FpModule(ring, phi.target.ngens, phi.matrix.cols() + phi.target.relations.cols())
+    small, to_small, from_small = minimized(raw)
+    return small, ModuleMorphism(phi.target, small, to_small.matrix, check=False), \
+        from_small.matrix
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,18 @@ def test_budget_exit_code(tmp_path):
     assert json.loads(out)["exit_status"] == 4
 
 
+def test_completion_tower_of_a_complex_that_is_not_free_is_an_input_error(tmp_path):
+    """Derived completion needs a degreewise free complex: Z/4 in two
+    degrees gets an exit-3 report with an error, not a traceback."""
+    path = tmp_path / "not_free.session"
+    path.write_text("ring Z\nideal a = (2)\nmodule M = [[4]]\n"
+                    "complex C = degrees (-1, 0) modules (M, M) maps ([[1]])\n")
+    code, out = run_cli(["completion-tower", str(path), "--complex", "C", "--depth", "3"])
+    report = json.loads(out)
+    assert code == 3 and report["exit_status"] == 3
+    assert report["error"] == "derived completion requires a degreewise free complex"
+
+
 PARSER_COUNT = """
 import argparse, contextlib, io
 built = []

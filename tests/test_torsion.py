@@ -64,10 +64,10 @@ def test_gamma_computes_one_canonical_form_per_stage(monkeypatch):
     real = IntegerRing.canonical_columns
     forms = []
 
-    def counting(self, cols, nrows):
+    def counting(self, cols, nrows, relations=()):
         if sys._getframe(1).f_code.co_name != "__init__":
             forms.append(nrows)
-        return real(self, cols, nrows)
+        return real(self, cols, nrows, relations)
 
     monkeypatch.setattr(IntegerRing, "canonical_columns", counting)
     g = gamma(_zmod(4), IdealSpec.make(ZZ, [2]))

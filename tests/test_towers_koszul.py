@@ -38,6 +38,22 @@ def test_pro_system_composites():
     comp = sys_.composite(3, 1)
     assert comp.source is objs[2] and comp.target is objs[0]
     assert not comp.is_zero_morphism()
+    with pytest.raises(TowerError):
+        sys_.composite(1, 3)
+
+
+def test_ind_system_composites_take_source_then_target():
+    """Both kinds of system take (source level, target level)."""
+    objs = [_zmod(8), _zmod(4), _zmod(2)]
+    trans = [type(identity_morphism(objs[0]))(objs[i], objs[i + 1],
+                                              identity_morphism(objs[i]).matrix, False)
+             for i in range(2)]
+    sys_ = IndSystem(objs, trans)
+    comp = sys_.composite(1, 3)
+    assert comp.source is objs[0] and comp.target is objs[2]
+    assert not comp.is_zero_morphism()
+    with pytest.raises(TowerError):
+        sys_.composite(3, 1)
 
 
 def test_all_zero_system_passes_with_adjacent_certificates():
