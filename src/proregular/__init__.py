@@ -18,7 +18,7 @@ from .rings import (IntegerRing, PolynomialRing, QuotientRing, integers,
 from .fpmod import (FpModule, IdealSpec, ModuleMorphism, cokernel, direct_sum,
                     free_module, ideal_power, kernel, minimized, power_sequence,
                     quotient_module, tensor_module, zero_module)
-from .complexes import (BoundedComplex, ComplexMorphism, cohomology, cone,
+from .complexes import (BoundedComplex, ComplexMorphism, cohomology,
                         hom_complex, module_complex, ring_complex,
                         tensor_complexes)
 from .resolutions import FreeResolution, free_resolution

@@ -5,9 +5,7 @@ Sign conventions, fixed once and used everywhere:
 * tensor differential   ``d(x (x) y) = dx (x) y + (-1)^i x (x) dy``  for
   ``x`` of degree ``i``;
 * Hom differential      ``d(f) = d_D o f - (-1)^k f o d_C``          for
-  ``f`` of total degree ``k``;
-* cone of ``phi: C -> D``  has ``cone^q = C^{q+1} (+) D^q`` and
-  ``d = [[-d_C, 0], [phi, d_D]]``.
+  ``f`` of total degree ``k``.
 
 ``d o d = 0`` is checked exactly at construction.  Cohomology is returned
 as a minimized module together with a cycle-representative matrix, which is
@@ -177,50 +175,27 @@ def induced_cohomology_map(phi: ComplexMorphism, q: int,
 
 
 # ---------------------------------------------------------------------------
-# cone
+# brutal truncation
 
 
-def cone(phi: ComplexMorphism) -> BoundedComplex:
-    """Mapping cone; acyclic exactly when ``phi`` is a quasi-isomorphism."""
-    csrc, ctgt = phi.source, phi.target
-    ring = csrc.ring
-    lo = min(csrc.lo - 1, ctgt.lo)
-    hi = max(csrc.hi - 1, ctgt.hi)
-    mods = []
-    layout = {}
-    for q in range(lo, hi + 1):
-        a = csrc.module(q + 1)
-        b = ctgt.module(q)
-        if a.ngens == 0 and b.ngens == 0:
-            mods.append(zero_module(ring))
-            layout[q] = [("src", 0, 0), ("tgt", 0, 0)]
-            continue
-        s, _, _ = direct_sum([a, b])
-        mods.append(s)
-        layout[q] = [("src", 0, a.ngens), ("tgt", a.ngens, b.ngens)]
-    diffs = []
-    for q in range(lo, hi):
-        a, b = csrc.module(q + 1), ctgt.module(q)
-        a2, b2 = csrc.module(q + 2), ctgt.module(q + 1)
-        rows_n = a2.ngens + b2.ngens
-        cols_n = a.ngens + b.ngens
-        rows = [[ring.zero()] * cols_n for _ in range(rows_n)]
-        dsrc = csrc.diff(q + 1)
-        for i in range(a2.ngens):
-            for j in range(a.ngens):
-                rows[i][j] = ring.neg(dsrc.matrix.entry(i, j))
-        f = phi.map_at(q + 1)
-        for i in range(b2.ngens):
-            for j in range(a.ngens):
-                rows[a2.ngens + i][j] = f.matrix.entry(i, j)
-        dtgt = ctgt.diff(q)
-        for i in range(b2.ngens):
-            for j in range(b.ngens):
-                rows[a2.ngens + i][a.ngens + j] = dtgt.matrix.entry(i, j)
-        diffs.append(ModuleMorphism(mods[q - lo], mods[q - lo + 1],
-                                    Mat(rows_n, cols_n, tuple(tuple(r) for r in rows)),
-                                    check=False))
-    return BoundedComplex(ring, lo, mods, diffs, check=False, layout=layout)
+def truncate(x, lo: int, hi: int):
+    """The brutal truncation to the degrees ``[lo, hi]`` of a complex (its
+    modules and differentials there, zero elsewhere) or of a chain map (its
+    components there, between the truncations of its source and target;
+    still a chain map, which is checked).
+
+    ``truncate(c, c.lo, q)`` is a quotient complex of ``c`` and
+    ``truncate(c, q, c.hi)`` a subcomplex.
+    """
+    if isinstance(x, ComplexMorphism):
+        src, tgt = truncate(x.source, lo, hi), truncate(x.target, lo, hi)
+        kept = range(max(lo, x.source.lo), min(hi, x.source.hi) + 1)
+        return ComplexMorphism(src, tgt, {q: x.map_at(q) for q in kept}, check=True)
+    kept = range(max(lo, x.lo), min(hi, x.hi) + 1)
+    if not kept:
+        return module_complex(zero_module(x.ring), lo)
+    return BoundedComplex(x.ring, kept.start, [x.modules[q] for q in kept],
+                          [x.diffs[q] for q in kept[:-1]], check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +278,10 @@ def tensor_complexes(c: BoundedComplex, d: BoundedComplex) -> BoundedComplex:
 
 def tensor_complex_morphisms(f: ComplexMorphism, g: ComplexMorphism,
                              source: BoundedComplex | None = None,
-                             target: BoundedComplex | None = None) -> ComplexMorphism:
-    """``f (x) g`` for degree-zero chain maps (no extra signs)."""
+                             target: BoundedComplex | None = None,
+                             check: bool = False) -> ComplexMorphism:
+    """``f (x) g`` for degree-zero chain maps (no extra signs); with
+    ``check`` it is checked to be a chain map."""
     ring = f.source.ring
     src = source if source is not None else tensor_complexes(f.source, g.source)
     tgt = target if target is not None else tensor_complexes(f.target, g.target)
@@ -336,19 +313,20 @@ def tensor_complex_morphisms(f: ComplexMorphism, g: ComplexMorphism,
         maps[q] = ModuleMorphism(src.module(q), tgt.module(q),
                                  Mat(tgt_n, src_n, tuple(tuple(r) for r in rows)),
                                  check=False)
-    return ComplexMorphism(src, tgt, maps, check=False)
+    return ComplexMorphism(src, tgt, maps, check=check)
 
 
 def block_identity_map(plain: BoundedComplex, tensored: BoundedComplex,
-                       plain_factor: int, onto: bool) -> ComplexMorphism:
-    """The identity between ``plain`` and one block of a tensor product.
+                       plain_factor: int) -> ComplexMorphism:
+    """The projection of a tensor product onto one block, ``tensored ->
+    plain``.
 
     ``tensored`` is ``plain (x) R`` (``plain_factor`` 0) or ``R (x) plain``
     (``plain_factor`` 1) for a complex ``R`` of rank one in degree 0; in
-    degree ``q`` the map is the identity between ``plain^q`` and the block
-    ``(q, 0)`` resp. ``(0, q)``, zero on the other blocks.  With ``onto``
-    it runs ``plain -> tensored``, else ``tensored -> plain``.  That it is a
-    chain map is checked.
+    degree ``q`` the map is the identity from the block ``(q, 0)`` resp.
+    ``(0, q)`` onto ``plain^q``, zero on the other blocks.  It is a chain
+    map when the projection of ``R`` onto degree 0 is one, as for a dual
+    Koszul complex; that is checked.
     """
     ring = plain.ring
     one, zero = ring.one(), ring.zero()
@@ -357,13 +335,10 @@ def block_identity_map(plain: BoundedComplex, tensored: BoundedComplex,
         p, t = plain.module(q), tensored.module(q)
         key = (q, 0) if plain_factor == 0 else (0, q)
         offset = next((off for k, off, _ in tensored.layout.get(q, []) if k == key), None)
-        emb = Mat(t.ngens, p.ngens, tuple(
-            tuple(one if offset is not None and r == offset + c else zero
-                  for c in range(p.ngens)) for r in range(t.ngens)))
-        maps[q] = ModuleMorphism(p, t, emb, check=False) if onto else \
-            ModuleMorphism(t, p, emb.transpose(), check=False)
-    if onto:
-        return ComplexMorphism(plain, tensored, maps, check=True)
+        proj = Mat(p.ngens, t.ngens, tuple(
+            tuple(one if offset is not None and c == offset + r else zero
+                  for c in range(t.ngens)) for r in range(p.ngens)))
+        maps[q] = ModuleMorphism(t, p, proj, check=False)
     return ComplexMorphism(tensored, plain, maps, check=True)
 
 

@@ -57,6 +57,7 @@ the normal strategy with a fixed tie-break, and reduced bases are unique.
 from __future__ import annotations
 
 import heapq
+from functools import cached_property
 
 from .poly import (KeyMemo, Poly, PolyRing, mono_deg, mono_div, mono_divides,
                    mono_lcm, mono_mul)
@@ -422,10 +423,15 @@ class GraphBasis:
             graph.append(g)
         self.order = ElimOrder(ring.order, nrows)
         self.basis, _ = module_groebner(ring, graph, self.order, known=known)
+
+    @cached_property
+    def _reducer(self):
+        """The basis elements with a lead in the first block, as a reducer;
+        only ``solve`` reads it, so it is built on the first ``solve``."""
         leads = [vec_lead(self.order, b) for b in self.basis]
-        first = [t for t, (pos, _) in enumerate(leads) if pos < nrows]
-        self._reducer = _Reducer(ring, self.order, [self.basis[t] for t in first],
-                                 [leads[t] for t in first])
+        first = [t for t, (pos, _) in enumerate(leads) if pos < self.nrows]
+        return _Reducer(self.ring, self.order, [self.basis[t] for t in first],
+                        [leads[t] for t in first])
 
     def solve(self, target_col):
         """Coefficients ``x`` with ``sum x_j col_j = target``, or ``None``.

@@ -167,7 +167,7 @@ def _counit_map(dual: BoundedComplex, square: BoundedComplex,
     """``rho (x) id`` (side="left") or ``id (x) rho`` (side="right") from
     ``dual (x) dual`` onto ``dual``, where ``rho`` is the degree-0 projection
     onto the ring."""
-    return block_identity_map(dual, square, 1 if side == "left" else 0, onto=False)
+    return block_identity_map(dual, square, 1 if side == "left" else 0)
 
 
 @dataclass

@@ -14,28 +14,37 @@ one ``KoszulTower``, which a command builds once and shares.
 The torsion/completion equivalence check is assembled from the two unit
 and counit chain maps that exist on the nose at finite stages:
 
-* ``u_i : A[0] -> K(A; a^i)``        (identity in degree 0), and
-* ``rho_i : Kdual(A; a^i) -> A[0]``  (identity in degree 0).
+* ``u_i : A[0] -> K(A; a^i)``        (identity onto degree 0), and
+* ``rho_i : Kdual(A; a^i) -> A[0]``  (identity from degree 0).
 
-For each fixed torsion stage ``k`` the cone of
-``id (x) u_i : Kdual^k (x) M -> Kdual^k (x) M (x) K^i`` is a pro-system in
+For each fixed torsion stage ``k`` the cones of
+``id (x) u_i : B -> B (x) K^i``, ``B = Kdual^k (x) M``, form a pro-system in
 ``i`` whose cohomology must be pro-zero (torsion of completion is torsion);
-symmetrically the cone of ``rho_i (x) id : Kdual^i (x) M (x) K^k ->
-M (x) K^k`` is an ind-system in ``i`` whose cohomology must vanish
+symmetrically the cones of ``rho_i (x) id : Kdual^i (x) B' -> B'``,
+``B' = M (x) K^k``, form an ind-system in ``i`` whose cohomology must vanish
 (completion of torsion is completion).
+
+No cone is built.  ``id (x) u_i`` is split injective in every degree and
+``rho_i (x) id`` split surjective.  The cone of a degreewise split
+injection is naturally homotopy equivalent to its cokernel, here the
+quotient complex ``B (x) sigma_{<=-1} K^i``, and the cone of a degreewise
+split surjection to its kernel shifted by one, here the subcomplex
+``sigma_{>=1} Kdual^i (x) B'``, so ``H^q(cone) = H^(q+1)(sub)`` (Weibel,
+*An Introduction to Homological Algebra*, 1.5).  The check reads those
+brutal truncations, with the truncated tower transitions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import (BoundedComplex, ComplexMorphism, block_identity_map,
-                        cohomology, cone, hom_complex, hom_of_source_map,
+from .complexes import (BoundedComplex, cohomology, hom_complex, hom_of_source_map,
                         identity_complex_morphism, induced_cohomology_map,
-                        module_complex, tensor_complexes, tensor_complex_morphisms)
+                        module_complex, tensor_complexes, tensor_complex_morphisms,
+                        truncate)
 from .fpmod import (FpModule, IdealSpec, ModuleMorphism, annihilated_by_elements,
                     identity_morphism, ideal_power, quotient_by, quotient_module)
-from .intlinalg import Mat, mat_from_cols
+from .intlinalg import mat_from_cols
 from .koszul import KoszulTower
 from .resolutions import free_resolution, lift_through_resolution
 from .towers import IndSystem, ProSystem, required_levels, vanishing_check
@@ -221,63 +230,78 @@ class MgmReport:
 def mgm_check(m: FpModule, tower: KoszulTower, window: int = 1) -> MgmReport:
     """Finite-depth torsion/completion equivalence for the module ``m``.
 
-    tau side: for each required torsion stage ``k``, the cones of
-    ``id (x) u_i`` on ``Kdual^k (x) M`` form a pro-system in ``i`` whose
-    cohomology towers must be pro-zero.  sigma side: for each required
-    completion stage ``k``, the cones of ``rho_i (x) id`` on
-    ``Kdual^i (x) (M (x) K^k)`` form an ind-system in ``i`` whose cohomology
-    towers must vanish.
+    tau side: for each required torsion stage ``k``, with
+    ``B = Kdual^k (x) M``, the cones of ``id (x) u_i : B -> B (x) K^i`` form
+    a pro-system in ``i`` whose cohomology towers must be pro-zero.  sigma
+    side: for each required completion stage ``k``, with
+    ``B' = M (x) K^k``, the cones of ``rho_i (x) id : Kdual^i (x) B' -> B'``
+    form an ind-system in ``i`` whose cohomology towers must vanish.
+
+    No cone is built.  ``id (x) u_i`` is split injective in every degree,
+    with cokernel the quotient complex ``B (x) sigma_{<=-1} K^i``, and
+    ``rho_i (x) id`` is split surjective in every degree, with kernel the
+    subcomplex ``sigma_{>=1} Kdual^i (x) B'``.  A degreewise split
+    injection's cone is naturally homotopy equivalent to its cokernel, and
+    a degreewise split surjection's to its kernel shifted by one, so
+    ``H^q(cone) = H^(q+1)(sub)`` on the sigma side.  The cone towers are
+    thus isomorphic, as systems, to
+    ``{H^q(B (x) sigma_{<=-1} K^i)}`` with transitions
+    ``id (x) sigma_{<=-1}(down)``, and to
+    ``{H^(q+1)(sigma_{>=1} Kdual^i (x) B')}`` with transitions
+    ``sigma_{>=1}(up) (x) id``; these have the same certificates.  Each
+    side reports every degree ``q`` of its cones: ``min(B.lo - 1, B.lo - n)``
+    to ``B.hi`` for tau, ``B'.lo - 1`` to ``max(B'.hi + n - 1, B'.hi)`` for
+    sigma.  Every truncated and tensored transition is checked to be a
+    chain map.
 
     The paper proves the equivalence for a weakly proregular sequence; the
     caller establishes that premise (``weak_proregularity_check`` on the
     same tower) before it reads the verdict.
     """
     req = required_levels(tower.depth, window)
+    n = len(tower.ideal.generators)
     mcx = module_complex(m)
-    koszuls, duals = tower.stages, tower.duals
+    below = [truncate(s, -n, -1) for s in tower.stages]
+    below_down = [truncate(t, -n, -1) for t in tower.down]
+    above = [truncate(d, 1, n) for d in tower.duals]
+    above_up = [truncate(t, 1, n) for t in tower.up]
 
     # tau side: torsion of completion = torsion
     tau_stage = {}
     for k in req:
-        base = tensor_complexes(duals[k - 1], mcx)
+        base = tensor_complexes(tower.duals[k - 1], mcx)
         id_base = identity_complex_morphism(base)
-        tens = [tensor_complexes(base, kos) for kos in koszuls]
-        units = [block_identity_map(base, t, 0, onto=True) for t in tens]
-        cones = [cone(u) for u in units]
-        cone_trans = []
-        for i, ktr in enumerate(tower.down):
-            ttr = tensor_complex_morphisms(id_base, ktr, tens[i + 1], tens[i])
-            cone_trans.append(_cone_functor_map(units[i + 1], units[i],
-                                                id_base, ttr, cones[i + 1], cones[i]))
-        tau_stage[k] = _cone_verdicts(cones, cone_trans, ProSystem, window)
+        quots = [tensor_complexes(base, s) for s in below]
+        trs = [tensor_complex_morphisms(id_base, t, quots[i + 1], quots[i], check=True)
+               for i, t in enumerate(below_down)]
+        qs = range(min(base.lo - 1, base.lo - n), base.hi + 1)
+        tau_stage[k] = _verdicts(quots, trs, qs, 0, ProSystem, window)
 
     # sigma side: completion of torsion = completion
     sigma_stage = {}
     for k in req:
-        base = tensor_complexes(mcx, koszuls[k - 1])
+        base = tensor_complexes(mcx, tower.stages[k - 1])
         id_base = identity_complex_morphism(base)
-        tens = [tensor_complexes(d, base) for d in duals]
-        counits = [block_identity_map(base, t, 1, onto=False) for t in tens]
-        cones = [cone(c) for c in counits]
-        cone_trans = []
-        for i, dtr in enumerate(tower.up):
-            ttr = tensor_complex_morphisms(dtr, id_base, tens[i], tens[i + 1])
-            cone_trans.append(_cone_functor_map(counits[i], counits[i + 1],
-                                                ttr, id_base, cones[i], cones[i + 1]))
-        sigma_stage[k] = _cone_verdicts(cones, cone_trans, IndSystem, window)
+        subs = [tensor_complexes(d, base) for d in above]
+        trs = [tensor_complex_morphisms(t, id_base, subs[i], subs[i + 1], check=True)
+               for i, t in enumerate(above_up)]
+        qs = range(base.lo - 1, max(base.hi + n - 1, base.hi) + 1)
+        sigma_stage[k] = _verdicts(subs, trs, qs, 1, IndSystem, window)
     return MgmReport(ideal=tower.ideal, depth=tower.depth, window=window,
                      tau_side=_side_report("torsion-of-completion", tau_stage),
                      sigma_side=_side_report("completion-of-torsion", sigma_stage))
 
 
-def _cone_verdicts(cones, cone_trans, system_cls, window: int) -> dict:
-    """Per degree ``q``: the vanishing verdict of the tower ``{H^q(cone_i)}``
-    (a ``system_cls``) with the maps induced by ``cone_trans``."""
+def _verdicts(complexes, transitions, degrees, shift: int, system_cls,
+              window: int) -> dict:
+    """Per degree ``q`` of ``degrees``: the vanishing verdict of the tower
+    ``{H^(q+shift)(complexes[i])}`` (a ``system_cls``) with the maps
+    induced by ``transitions``."""
     per_q = {}
-    for q in range(min(c.lo for c in cones), max(c.hi for c in cones) + 1):
-        objects = [cohomology(c, q) for c in cones]
-        transitions = [induced_cohomology_map(t, q, check=False) for t in cone_trans]
-        per_q[q] = vanishing_check(system_cls(objects, transitions, check=False), window)
+    for q in degrees:
+        objects = [cohomology(c, q + shift) for c in complexes]
+        maps = [induced_cohomology_map(t, q + shift, check=False) for t in transitions]
+        per_q[q] = vanishing_check(system_cls(objects, maps, check=False), window)
     return per_q
 
 
@@ -285,36 +309,3 @@ def _side_report(side: str, per_stage: dict) -> EquivalenceSideReport:
     ok = all(v.passed for per_q in per_stage.values() for v in per_q.values())
     return EquivalenceSideReport(side=side, per_stage=per_stage,
                                  status="pass" if ok else "undetermined")
-
-
-def _cone_functor_map(phi_src: ComplexMorphism, phi_tgt: ComplexMorphism,
-                      f_on_sources: ComplexMorphism, f_on_targets: ComplexMorphism,
-                      cone_src: BoundedComplex, cone_tgt: BoundedComplex) -> ComplexMorphism:
-    """Functoriality of the cone for a commuting square
-
-        phi_src : C -> D      phi_tgt : C' -> D'
-        f_on_sources : C -> C'   f_on_targets : D -> D'
-
-    giving ``cone(phi_src) -> cone(phi_tgt)`` blockwise."""
-    ring = cone_src.ring
-    maps = {}
-    for q in range(min(cone_src.lo, cone_tgt.lo), max(cone_src.hi, cone_tgt.hi) + 1):
-        src = cone_src.module(q)
-        tgt = cone_tgt.module(q)
-        rows = [[ring.zero()] * src.ngens for _ in range(tgt.ngens)]
-        s_offset = {key: off for key, off, _ in cone_src.layout.get(q, [])}
-        t_offset = {key: off for key, off, _ in cone_tgt.layout.get(q, [])}
-        for key, f, degree in (("src", f_on_sources, q + 1), ("tgt", f_on_targets, q)):
-            if key not in s_offset or key not in t_offset:
-                continue
-            fm = f.map_at(degree).matrix
-            off_s, off_t = s_offset[key], t_offset[key]
-            for i2 in range(fm.nrows):
-                for j2 in range(fm.ncols):
-                    e = fm.entry(i2, j2)
-                    if not ring.is_zero(e):
-                        rows[off_t + i2][off_s + j2] = e
-        maps[q] = ModuleMorphism(src, tgt,
-                                 Mat(tgt.ngens, src.ngens,
-                                     tuple(tuple(r) for r in rows)), check=False)
-    return ComplexMorphism(cone_src, cone_tgt, maps, check=True)

@@ -4,8 +4,9 @@ They are textbook versions of engine steps (polynomial division, module
 reduction by a scan over all leads, Gaussian elimination, Bareiss
 determinants, minimization by composing morphisms, kernel relations and
 cokernels through a second canonical form), constructions that no
-command runs (Hom, Ext of two modules, Euler characteristics), and paper
-checks that tie two models together.  Nothing under ``src/`` uses them.
+command runs (Hom, Ext of two modules, Euler characteristics, mapping
+cones), the MGM check read on the cones themselves, and paper checks that
+tie two models together.  Nothing under ``src/`` uses them.
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
 
-from proregular.complexes import (ComplexMorphism, cohomology, hom_complex,
-                                  hom_of_source_map, induced_cohomology_map,
-                                  module_complex, tensor_complexes)
+from proregular.complexes import (BoundedComplex, ComplexMorphism, block_identity_map,
+                                  cohomology, hom_complex, hom_of_source_map,
+                                  identity_complex_morphism, induced_cohomology_map,
+                                  module_complex, tensor_complex_morphisms,
+                                  tensor_complexes)
 from proregular.fpmod import (FpModule, IdealSpec, ModuleMorphism, _relations_among,
                               direct_sum, identity_morphism, kernel, kernel_generators,
                               minimized, power_sequence, quotient_module, zero_module)
@@ -25,9 +28,10 @@ from proregular.koszul import KoszulTower, weak_proregularity_check
 from proregular.poly import Poly, PolyRing, mono_div, mono_divides, mono_lcm, mono_mul
 from proregular.resolutions import comparison_map, free_resolution
 from proregular.rings import ring_matmul, ring_zero_mat
-from proregular.torsion import (_stable_annihilator, ext_torsion_tower, gamma,
-                                koszul_torsion_tower)
-from proregular.towers import SystemMap, TowerEquivalenceVerdict, tower_equivalence
+from proregular.torsion import (MgmReport, _side_report, _stable_annihilator,
+                                ext_torsion_tower, gamma, koszul_torsion_tower)
+from proregular.towers import (IndSystem, ProSystem, SystemMap, TowerEquivalenceVerdict,
+                               required_levels, tower_equivalence, vanishing_check)
 
 
 def _mul_term(ring: PolyRing, f: Poly, exp: tuple, coeff) -> Poly:
@@ -336,6 +340,155 @@ def euler_orders(c):
         chain = chain * o if q % 2 == 0 else chain / o
         hom_ = hom_ * oh if q % 2 == 0 else hom_ / oh
     return chain, hom_
+
+
+# ---------------------------------------------------------------------------
+# mapping cones
+
+
+def cone(phi: ComplexMorphism) -> BoundedComplex:
+    """Mapping cone of ``phi: C -> D``: ``cone^q = C^{q+1} (+) D^q`` and
+    ``d = [[-d_C, 0], [phi, d_D]]``; acyclic exactly when ``phi`` is a
+    quasi-isomorphism.  The layout records the blocks ``"src"`` and
+    ``"tgt"`` of each degree."""
+    csrc, ctgt = phi.source, phi.target
+    ring = csrc.ring
+    lo = min(csrc.lo - 1, ctgt.lo)
+    hi = max(csrc.hi - 1, ctgt.hi)
+    mods = []
+    layout = {}
+    for q in range(lo, hi + 1):
+        a = csrc.module(q + 1)
+        b = ctgt.module(q)
+        if a.ngens == 0 and b.ngens == 0:
+            mods.append(zero_module(ring))
+            layout[q] = [("src", 0, 0), ("tgt", 0, 0)]
+            continue
+        s, _, _ = direct_sum([a, b])
+        mods.append(s)
+        layout[q] = [("src", 0, a.ngens), ("tgt", a.ngens, b.ngens)]
+    diffs = []
+    for q in range(lo, hi):
+        a, b = csrc.module(q + 1), ctgt.module(q)
+        a2, b2 = csrc.module(q + 2), ctgt.module(q + 1)
+        rows_n = a2.ngens + b2.ngens
+        cols_n = a.ngens + b.ngens
+        rows = [[ring.zero()] * cols_n for _ in range(rows_n)]
+        dsrc = csrc.diff(q + 1)
+        for i in range(a2.ngens):
+            for j in range(a.ngens):
+                rows[i][j] = ring.neg(dsrc.matrix.entry(i, j))
+        f = phi.map_at(q + 1)
+        for i in range(b2.ngens):
+            for j in range(a.ngens):
+                rows[a2.ngens + i][j] = f.matrix.entry(i, j)
+        dtgt = ctgt.diff(q)
+        for i in range(b2.ngens):
+            for j in range(b.ngens):
+                rows[a2.ngens + i][a.ngens + j] = dtgt.matrix.entry(i, j)
+        diffs.append(ModuleMorphism(mods[q - lo], mods[q - lo + 1],
+                                    Mat(rows_n, cols_n, tuple(tuple(r) for r in rows)),
+                                    check=False))
+    return BoundedComplex(ring, lo, mods, diffs, check=False, layout=layout)
+
+
+def _cone_functor_map(phi_src: ComplexMorphism, phi_tgt: ComplexMorphism,
+                      f_on_sources: ComplexMorphism, f_on_targets: ComplexMorphism,
+                      cone_src: BoundedComplex, cone_tgt: BoundedComplex) -> ComplexMorphism:
+    """Functoriality of the cone for a commuting square
+
+        phi_src : C -> D      phi_tgt : C' -> D'
+        f_on_sources : C -> C'   f_on_targets : D -> D'
+
+    giving ``cone(phi_src) -> cone(phi_tgt)`` blockwise (checked)."""
+    ring = cone_src.ring
+    maps = {}
+    for q in range(min(cone_src.lo, cone_tgt.lo), max(cone_src.hi, cone_tgt.hi) + 1):
+        src = cone_src.module(q)
+        tgt = cone_tgt.module(q)
+        rows = [[ring.zero()] * src.ngens for _ in range(tgt.ngens)]
+        s_offset = {key: off for key, off, _ in cone_src.layout.get(q, [])}
+        t_offset = {key: off for key, off, _ in cone_tgt.layout.get(q, [])}
+        for key, f, degree in (("src", f_on_sources, q + 1), ("tgt", f_on_targets, q)):
+            if key not in s_offset or key not in t_offset:
+                continue
+            fm = f.map_at(degree).matrix
+            off_s, off_t = s_offset[key], t_offset[key]
+            for i2 in range(fm.nrows):
+                for j2 in range(fm.ncols):
+                    e = fm.entry(i2, j2)
+                    if not ring.is_zero(e):
+                        rows[off_t + i2][off_s + j2] = e
+        maps[q] = ModuleMorphism(src, tgt,
+                                 Mat(tgt.ngens, src.ngens,
+                                     tuple(tuple(r) for r in rows)), check=False)
+    return ComplexMorphism(cone_src, cone_tgt, maps, check=True)
+
+
+def _unit_map(plain: BoundedComplex, tensored: BoundedComplex) -> ComplexMorphism:
+    """``id (x) u : plain -> plain (x) K`` for a Koszul complex ``K``: the
+    identity of ``plain^q`` onto the block ``(q, 0)`` (checked)."""
+    ring = plain.ring
+    maps = {}
+    for q in range(min(plain.lo, tensored.lo), max(plain.hi, tensored.hi) + 1):
+        p, t = plain.module(q), tensored.module(q)
+        offset = next((off for k, off, _ in tensored.layout.get(q, []) if k == (q, 0)), None)
+        emb = Mat(t.ngens, p.ngens, tuple(
+            tuple(ring.one() if offset is not None and r == offset + c else ring.zero()
+                  for c in range(p.ngens)) for r in range(t.ngens)))
+        maps[q] = ModuleMorphism(p, t, emb, check=False)
+    return ComplexMorphism(plain, tensored, maps, check=True)
+
+
+def _cone_verdicts(cones, cone_trans, system_cls, window: int) -> dict:
+    """Per degree ``q``: the vanishing verdict of the tower ``{H^q(cone_i)}``
+    (a ``system_cls``) with the maps induced by ``cone_trans``."""
+    per_q = {}
+    for q in range(min(c.lo for c in cones), max(c.hi for c in cones) + 1):
+        objects = [cohomology(c, q) for c in cones]
+        transitions = [induced_cohomology_map(t, q, check=False) for t in cone_trans]
+        per_q[q] = vanishing_check(system_cls(objects, transitions, check=False), window)
+    return per_q
+
+
+def mgm_check_by_cones(m: FpModule, tower: KoszulTower, window: int = 1) -> MgmReport:
+    """``torsion.mgm_check`` read on the mapping cones themselves: for each
+    required stage ``k``, the cones of ``id (x) u_i`` on ``Kdual^k (x) M``
+    (tau side, a pro-system in ``i``) and of ``rho_i (x) id`` onto
+    ``M (x) K^k`` (sigma side, an ind-system in ``i``), with the cone maps
+    of the tower transitions."""
+    req = required_levels(tower.depth, window)
+    mcx = module_complex(m)
+    koszuls, duals = tower.stages, tower.duals
+    tau_stage = {}
+    for k in req:
+        base = tensor_complexes(duals[k - 1], mcx)
+        id_base = identity_complex_morphism(base)
+        tens = [tensor_complexes(base, kos) for kos in koszuls]
+        units = [_unit_map(base, t) for t in tens]
+        cones = [cone(u) for u in units]
+        cone_trans = []
+        for i, ktr in enumerate(tower.down):
+            ttr = tensor_complex_morphisms(id_base, ktr, tens[i + 1], tens[i])
+            cone_trans.append(_cone_functor_map(units[i + 1], units[i],
+                                                id_base, ttr, cones[i + 1], cones[i]))
+        tau_stage[k] = _cone_verdicts(cones, cone_trans, ProSystem, window)
+    sigma_stage = {}
+    for k in req:
+        base = tensor_complexes(mcx, koszuls[k - 1])
+        id_base = identity_complex_morphism(base)
+        tens = [tensor_complexes(d, base) for d in duals]
+        counits = [block_identity_map(base, t, 1) for t in tens]
+        cones = [cone(c) for c in counits]
+        cone_trans = []
+        for i, dtr in enumerate(tower.up):
+            ttr = tensor_complex_morphisms(dtr, id_base, tens[i], tens[i + 1])
+            cone_trans.append(_cone_functor_map(counits[i], counits[i + 1],
+                                                ttr, id_base, cones[i], cones[i + 1]))
+        sigma_stage[k] = _cone_verdicts(cones, cone_trans, IndSystem, window)
+    return MgmReport(ideal=tower.ideal, depth=tower.depth, window=window,
+                     tau_side=_side_report("torsion-of-completion", tau_stage),
+                     sigma_side=_side_report("completion-of-torsion", sigma_stage))
 
 
 # ---------------------------------------------------------------------------

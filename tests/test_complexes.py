@@ -5,8 +5,8 @@ import pytest
 
 from proregular.complexes import (BoundedComplex, ComplexError,
                                   ComplexMorphism, cohomology,
-                                  cohomology_data, cone,
-                                  hom_complex, identity_complex_morphism,
+                                  cohomology_data, hom_complex,
+                                  identity_complex_morphism,
                                   induced_cohomology_map, module_complex,
                                   ring_complex, tensor_complexes,
                                   tensor_complex_morphisms)
@@ -15,7 +15,7 @@ from proregular.fpmod import (FpModule, ModuleMorphism, free_module,
                               zero_module, zero_morphism)
 from proregular.intlinalg import Mat
 from proregular.rings import integers, rational_poly_ring
-from reference_algebra import euler_orders
+from reference_algebra import cone, euler_orders
 
 ZZ = integers()
 

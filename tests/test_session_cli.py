@@ -256,12 +256,17 @@ PINNED_RUNS = [
                             "--depth", "3", "--model", "koszul", "--degree", "1"]),
     ("mgm_s15_R", ["mgm-check", sess("s15_q_cusp.session"), "--module", "R",
                    "--depth", "3"]),
+    ("mgm_s16_R", ["mgm-check", sess("s16_f5_cone.session"), "--module", "R",
+                   "--depth", "4"]),
     # the witness ring A4 on both sides of its certificate boundary
     ("wpr_s06_d5", ["wpr", sess("s06_witness_a4.session"), "--depth", "5"]),
     ("wpr_s06_d6", ["wpr", sess("s06_witness_a4.session"), "--depth", "6"]),
     # mgm-check's weak proregularity precondition, not established on A4
     ("mgm_s17_R", ["mgm-check", sess("s17_witness_a4_module.session"),
                    "--module", "R", "--depth", "4"]),
+    # ... and established at depth 6, where the check passes
+    ("mgm_s17_R_d6", ["mgm-check", sess("s17_witness_a4_module.session"),
+                      "--module", "R", "--depth", "6"]),
 ]
 
 
