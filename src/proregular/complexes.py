@@ -316,25 +316,21 @@ def tensor_complex_morphisms(f: ComplexMorphism, g: ComplexMorphism,
     return ComplexMorphism(src, tgt, maps, check=check)
 
 
-def block_identity_map(plain: BoundedComplex, tensored: BoundedComplex,
-                       plain_factor: int) -> ComplexMorphism:
-    """The projection of a tensor product onto one block, ``tensored ->
-    plain``.
-
-    ``tensored`` is ``plain (x) R`` (``plain_factor`` 0) or ``R (x) plain``
-    (``plain_factor`` 1) for a complex ``R`` of rank one in degree 0; in
-    degree ``q`` the map is the identity from the block ``(q, 0)`` resp.
-    ``(0, q)`` onto ``plain^q``, zero on the other blocks.  It is a chain
-    map when the projection of ``R`` onto degree 0 is one, as for a dual
-    Koszul complex; that is checked.
+def block_identity_map(plain: BoundedComplex,
+                       tensored: BoundedComplex) -> ComplexMorphism:
+    """The projection of ``tensored = R (x) plain`` onto its block ``(0, q)``
+    in each degree ``q``, ``tensored -> plain``, for a complex ``R`` of rank
+    one in degree 0: the identity from that block onto ``plain^q``, zero on
+    the other blocks.  It is a chain map when the projection of ``R`` onto
+    degree 0 is one, as for the counit ``rho (x) id`` of a dual Koszul
+    complex; that is checked.
     """
     ring = plain.ring
     one, zero = ring.one(), ring.zero()
     maps = {}
     for q in range(min(plain.lo, tensored.lo), max(plain.hi, tensored.hi) + 1):
         p, t = plain.module(q), tensored.module(q)
-        key = (q, 0) if plain_factor == 0 else (0, q)
-        offset = next((off for k, off, _ in tensored.layout.get(q, []) if k == key), None)
+        offset = next((off for k, off, _ in tensored.layout.get(q, []) if k == (0, q)), None)
         proj = Mat(p.ngens, t.ngens, tuple(
             tuple(one if offset is not None and c == offset + r else zero
                   for c in range(t.ngens)) for r in range(p.ngens)))

@@ -5,8 +5,9 @@ reduction by a scan over all leads, Gaussian elimination, Bareiss
 determinants, minimization by composing morphisms, kernel relations and
 cokernels through a second canonical form), constructions that no
 command runs (Hom, Ext of two modules, Euler characteristics, mapping
-cones), the MGM check read on the cones themselves, and paper checks that
-tie two models together.  Nothing under ``src/`` uses them.
+cones), the MGM check read on the cones themselves, copointed idempotence
+on both counit sides, and paper checks that tie two models together.
+Nothing under ``src/`` uses them.
 """
 
 from __future__ import annotations
@@ -478,7 +479,7 @@ def mgm_check_by_cones(m: FpModule, tower: KoszulTower, window: int = 1) -> MgmR
         base = tensor_complexes(mcx, koszuls[k - 1])
         id_base = identity_complex_morphism(base)
         tens = [tensor_complexes(d, base) for d in duals]
-        counits = [block_identity_map(base, t, 1) for t in tens]
+        counits = [block_identity_map(base, t) for t in tens]
         cones = [cone(c) for c in counits]
         cone_trans = []
         for i, dtr in enumerate(tower.up):
@@ -489,6 +490,53 @@ def mgm_check_by_cones(m: FpModule, tower: KoszulTower, window: int = 1) -> MgmR
     return MgmReport(ideal=tower.ideal, depth=tower.depth, window=window,
                      tau_side=_side_report("torsion-of-completion", tau_stage),
                      sigma_side=_side_report("completion-of-torsion", sigma_stage))
+
+
+# ---------------------------------------------------------------------------
+# copointed idempotence on both counit sides
+
+
+def right_counit_map(plain: BoundedComplex, tensored: BoundedComplex) -> ComplexMorphism:
+    """``id (x) rho : plain (x) R -> plain`` for a complex ``R`` of rank one
+    in degree 0: the identity from the block ``(q, 0)`` onto ``plain^q``, zero
+    on the other blocks (checked)."""
+    ring = plain.ring
+    maps = {}
+    for q in range(min(plain.lo, tensored.lo), max(plain.hi, tensored.hi) + 1):
+        p, t = plain.module(q), tensored.module(q)
+        offset = next((off for k, off, _ in tensored.layout.get(q, []) if k == (q, 0)), None)
+        proj = Mat(p.ngens, t.ngens, tuple(
+            tuple(ring.one() if offset is not None and c == offset + r else ring.zero()
+                  for c in range(t.ngens)) for r in range(p.ngens)))
+        maps[q] = ModuleMorphism(t, p, proj, check=False)
+    return ComplexMorphism(tensored, plain, maps, check=True)
+
+
+def copointed_idempotence_both_sides(tower: KoszulTower, window: int = 1) -> dict:
+    """``{"left": {p: verdict}, "right": {p: verdict}}``: the tower
+    equivalence verdict of the ind-system map ``{H^p(D_i (x) D_i) ->
+    H^p(D_i)}`` for the left counit ``rho (x) id`` and for the right counit
+    ``id (x) rho``, each computed in full, ``D_i`` the dual Koszul stages."""
+    depth, n = tower.depth, len(tower.ideal.generators)
+    duals, dual_trs = tower.duals, tower.up
+    squares = [tensor_complexes(d, d) for d in duals]
+    square_trs = [tensor_complex_morphisms(tr, tr, squares[i], squares[i + 1])
+                  for i, tr in enumerate(dual_trs)]
+    counits = {"left": [block_identity_map(d, sq) for d, sq in zip(duals, squares)],
+               "right": [right_counit_map(d, sq) for d, sq in zip(duals, squares)]}
+    out = {"left": {}, "right": {}}
+    for p in range(0, 2 * n + 1):
+        src = IndSystem([cohomology(sq, p) for sq in squares],
+                        [induced_cohomology_map(t, p, check=False) for t in square_trs],
+                        check=False)
+        tgt = IndSystem([cohomology(d, p) for d in duals],
+                        [induced_cohomology_map(t, p, check=False) for t in dual_trs],
+                        check=False)
+        for side, maps in counits.items():
+            level_maps = [induced_cohomology_map(c, p, check=False) for c in maps]
+            out[side][p] = tower_equivalence(SystemMap(src, tgt, level_maps, check=True),
+                                             window)
+    return out
 
 
 # ---------------------------------------------------------------------------

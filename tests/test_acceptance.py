@@ -15,16 +15,15 @@ import time
 import pytest
 
 from proregular.cli import run as cli_run
-from proregular.complexes import cohomology, tensor_complexes
+from proregular.complexes import (block_identity_map, cohomology,
+                                  induced_cohomology_map, tensor_complexes)
 from proregular.fpmod import (FpModule, IdealSpec, direct_sum, free_module,
                               kernel as mod_kernel, cokernel as mod_cokernel,
                               minimized, quotient_module)
 from proregular.groebner import groebner_basis
 from proregular.intlinalg import Mat, smith_normal_form
 from proregular.koszul import (KoszulTower, copointed_idempotence_check,
-                               koszul_complex, weak_proregularity_check,
-                               _counit_map)
-from proregular.complexes import induced_cohomology_map
+                               koszul_complex, weak_proregularity_check)
 from proregular.poly import PolyRing
 from proregular.fieldlinalg import RationalField
 from proregular.resolutions import free_resolution
@@ -196,7 +195,7 @@ def test_criterion_08_copointed_idempotence():
         for i in range(1, 6):
             dk = tower.duals[i - 1]
             sq = tensor_complexes(dk, dk)
-            cu = _counit_map(dk, sq, "left")
+            cu = block_identity_map(dk, sq)
             ind = induced_cohomology_map(cu, 1)
             assert mod_kernel(ind)[0].is_zero()
             assert mod_cokernel(ind)[0].is_zero()

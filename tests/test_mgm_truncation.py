@@ -89,7 +89,7 @@ def test_cone_of_split_injection_has_cokernel_cohomology():
     base = tensor_complexes(mcx, tower.stages[0])
     tens = tensor_complexes(tower.duals[1], base)
     sub = tensor_complexes(truncate(tower.duals[1], 1, 2), base)
-    cn = cone(block_identity_map(base, tens, 1))
+    cn = cone(block_identity_map(base, tens))
     assert any(not cohomology(cn, q).is_zero() for q in cn.degrees())
     for q in range(cn.lo - 1, cn.hi + 2):
         assert cohomology(cn, q).abelian_invariants() == \

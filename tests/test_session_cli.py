@@ -258,6 +258,10 @@ PINNED_RUNS = [
                    "--depth", "3"]),
     ("mgm_s16_R", ["mgm-check", sess("s16_f5_cone.session"), "--module", "R",
                    "--depth", "4"]),
+    ("idempotence_s16_d4", ["idempotence", sess("s16_f5_cone.session"),
+                            "--depth", "4"]),
+    ("idempotence_s15_d3", ["idempotence", sess("s15_q_cusp.session"),
+                            "--depth", "3"]),
     # the witness ring A4 on both sides of its certificate boundary
     ("wpr_s06_d5", ["wpr", sess("s06_witness_a4.session"), "--depth", "5"]),
     ("wpr_s06_d6", ["wpr", sess("s06_witness_a4.session"), "--depth", "6"]),

@@ -302,16 +302,15 @@ def test_copointed_empty_sequence():
 
 def test_copointed_h1_levelwise_bijections():
     # the counit H^1 maps are exact bijections at every level
-    from proregular.complexes import cohomology as coh, tensor_complexes
-    from proregular.koszul import _counit_map
-    from proregular.complexes import induced_cohomology_map
+    from proregular.complexes import (block_identity_map, cohomology as coh,
+                                      induced_cohomology_map, tensor_complexes)
     from proregular.fpmod import kernel, cokernel
     a = IdealSpec.make(ZZ, [2])
     tower = KoszulTower(a, 5)
     for i in (1, 2, 3, 4, 5):
         dk = tower.duals[i - 1]
         sq = tensor_complexes(dk, dk)
-        cu = _counit_map(dk, sq, "left")
+        cu = block_identity_map(dk, sq)
         ind = induced_cohomology_map(cu, 1)
         assert kernel(ind)[0].is_zero()
         assert cokernel(ind)[0].is_zero()
