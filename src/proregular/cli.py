@@ -13,7 +13,7 @@ import time
 
 from .complexes import cohomology
 from .fieldlinalg import is_prime
-from .fpmod import IdealSpec, kernel_generators, quotient_by
+from .fpmod import IdealSpec, cokernel, kernel_generators, minimized
 from .koszul import (KoszulTower, copointed_idempotence_check,
                      weak_proregularity_check)
 from .reports import (SCHEMA_VERSION, module_summary, render_json, render_tsv,
@@ -91,11 +91,23 @@ def _system_levels(system) -> list:
     return [module_summary(obj) for obj in system.objects]
 
 
+def _minimized_system(system):
+    """The system on its minimized levels, each transition conjugated by the
+    level isomorphisms (``to_small_d o T o from_small_s``), so that the
+    summaries and the flags of a printed system read one presentation."""
+    mins = [minimized(obj) for obj in system.objects]
+    trans = []
+    for t, tr in enumerate(system.transitions):
+        s, d = system._endpoints(t, t + 1)
+        trans.append(mins[d][1].compose(tr).compose(mins[s][2]))
+    return type(system)([small for small, _, _ in mins], trans, check=False)
+
+
 def _transition_flags(system) -> list:
     """Per transition: is it injective (every kernel generator is zero in
-    the source) / surjective (the target modulo the image is zero)?"""
+    the source) / surjective (the cokernel is zero)?"""
     return [{"injective": all(map(tr.source.contains, kernel_generators(tr))),
-             "surjective": quotient_by(tr.target, tr.matrix.cols()).is_zero()}
+             "surjective": cokernel(tr).is_zero()}
             for tr in system.transitions]
 
 
@@ -148,6 +160,7 @@ def _cmd_lc_tower(session, args):
         system = ext_torsion_tower(module, ideal, p, args.depth)
     else:
         system = koszul_torsion_tower(module, KoszulTower(ideal, args.depth), p)
+    system = _minimized_system(system)
     details = {
         "ideal": _ideal_dict(ideal),
         "module": module.name,
@@ -177,7 +190,7 @@ def _cmd_completion_tower(session, args):
         }
         return details, EXIT_PASS
     module = _module_of(session, args)
-    system = completion_tower(module, ideal, args.depth)
+    system = _minimized_system(completion_tower(module, ideal, args.depth))
     details = {
         "ideal": _ideal_dict(ideal),
         "module": module.name,

@@ -8,9 +8,9 @@ Sign conventions, fixed once and used everywhere:
   ``f`` of total degree ``k``.
 
 ``d o d = 0`` is checked exactly at construction.  Cohomology is returned
-as a minimized module together with a cycle-representative matrix, which is
-what makes induced maps on cohomology (and hence all tower functoriality)
-computable.
+on the kernel's generators, unminimized, with their cycle-representative
+matrix, which is what makes induced maps on cohomology (and hence all tower
+functoriality) computable.
 """
 
 from __future__ import annotations
@@ -127,8 +127,8 @@ def identity_complex_morphism(c: BoundedComplex) -> ComplexMorphism:
 
 
 def cohomology_data(c: BoundedComplex, q: int):
-    """``(H, reps)``: minimized cohomology at ``q`` and a matrix whose
-    columns are cycle representatives in ``C^q`` of the generators of ``H``."""
+    """``(H, reps)``: the kernel of ``d^q`` modulo the lifted boundaries, and
+    its generators as columns, cycle representatives in ``C^q``."""
     if q in c._cohomology:
         return c._cohomology[q]
     ring = c.ring
@@ -137,20 +137,15 @@ def cohomology_data(c: BoundedComplex, q: int):
         result = (zero_module(ring), ring_zero_mat(ring, cq.ngens, 0))
         c._cohomology[q] = result
         return result
-    k, incl = kernel(c.diff(q))
+    h, incl = kernel(c.diff(q))
     prev = c.diff(q - 1)
-    if prev.source.ngens == 0 or k.ngens == 0:
-        h, _, section = cokernel(zero_morphism(zero_module(ring), k))
-    else:
+    if prev.source.ngens and h.ngens:
         # lift image columns of d^{q-1} through the kernel inclusion
-        lift = ModuleMorphism(prev.source, k,
-                              factor_through(incl.matrix, cq, prev.matrix,
-                                             "image does not lie in kernel; d o d != 0?"),
-                              check=False)
-        h, _, section = cokernel(lift)
-    reps = ring_matmul(ring, incl.matrix, section) if k.ngens else \
-        ring_zero_mat(ring, cq.ngens, h.ngens)
-    result = (h, reps)
+        h = cokernel(ModuleMorphism(prev.source, h,
+                                    factor_through(incl.matrix, cq, prev.matrix,
+                                                   "image does not lie in kernel; d o d != 0?"),
+                                    check=False))
+    result = (h, incl.matrix)
     c._cohomology[q] = result
     return result
 
@@ -161,10 +156,10 @@ def cohomology(c: BoundedComplex, q: int) -> FpModule:
 
 def induced_cohomology_map(phi: ComplexMorphism, q: int,
                            check: bool = True) -> ModuleMorphism:
-    """The map ``H^q(phi)`` on minimized cohomology presentations."""
+    """The map ``H^q(phi)`` on the presentations of ``cohomology_data``."""
     hs, reps_s = cohomology_data(phi.source, q)
     ht, reps_t = cohomology_data(phi.target, q)
-    if hs.ngens == 0 or ht.ngens == 0:
+    if hs.is_zero() or ht.is_zero():
         return zero_morphism(hs, ht)
     prev_t = phi.target.diff(q - 1).matrix
     pushed = ring_matmul(phi.source.ring, phi.map_at(q).matrix, reps_s)

@@ -6,11 +6,10 @@ a column HNF over Z, a reduced module Groebner basis over polynomials), so
 membership in their span -- is a column zero in the module? -- is a remainder
 against them (``FpModule.contains``), and equal spans have equal canonical
 forms.  A morphism is a matrix on generators whose well-definedness is
-certified by membership of the pushed-forward relations.  Kernels and
-cokernels come with their canonical inclusion/projection morphisms (a
-cokernel also with a section on generators), and all subquotient
-constructions are minimized (unit-pivot pruning) so tower-level objects stay
-small.
+certified by membership of the pushed-forward relations.  A kernel sits on
+its generator matrix and a cokernel on its target's generators.  Neither is
+minimized: zero tests and membership agree on isomorphic presentations, so
+``minimized`` (unit-pivot pruning) runs only on what a report prints.
 
 Stored relations never pass through a canonical form again: they join the
 engine as a known basis (``quotient_by``, ``factor_through``), relations on
@@ -313,7 +312,8 @@ def minimized(m: FpModule):
         to_rows = rows
         for row in from_rows:
             del row[i]
-        cur = FpModule(ring, len(keep), new_cols)
+        # entries are normal forms already: no coercion
+        cur = FpModule.canonical(ring, len(keep), ring.canonical_columns(new_cols, len(keep)))
     to_small = Mat(cur.ngens, m.ngens, tuple(map(tuple, to_rows)))
     from_small = Mat(m.ngens, cur.ngens, tuple(map(tuple, from_rows)))
     return (cur, ModuleMorphism(m, cur, to_small, check=False),
@@ -327,11 +327,13 @@ def minimized(m: FpModule):
 def _relations_among(ring, cols, target: FpModule):
     """The nonzero ``c`` with ``sum_j c_j cols_j`` in the span of
     ``target.relations``: the syzygies of ``cols`` and the relations, cut
-    to their ``cols`` part."""
+    to their ``cols`` part, which is put in normal form."""
     rel = target.relations
     allc = [list(c) for c in cols] + [list(rel.col(j)) for j in range(rel.ncols)]
-    heads = [v[:len(cols)] for v in ring.kernel_of_columns(allc, target.ngens)]
-    return [h for h in heads if any(not ring.is_zero(x) for x in h)]
+    nonzero = structurally_nonzero(ring)
+    heads = [[ring.normalize(x) for x in v[:len(cols)]]
+             for v in ring.kernel_of_columns(allc, target.ngens)]
+    return [h for h in heads if any(map(nonzero, h))]
 
 
 def kernel_generators(phi: ModuleMorphism) -> list:
@@ -346,23 +348,19 @@ def kernel_generators(phi: ModuleMorphism) -> list:
 
 
 def kernel(phi: ModuleMorphism):
-    """``(K, incl)`` with ``incl : K -> source`` the canonical inclusion.
+    """``(K, incl)`` with ``incl : K -> source`` the generator matrix.
 
     ``K`` is generated by ``kernel_generators(phi)``, and its relations are
     the ``c`` with ``sum_j c_j gens_j`` in the span of the source relations:
     one graph basis over the generators, with the source's canonical
     relations known, gives their canonical form."""
     ring = phi.source.ring
-    g_src = phi.source.ngens
     gens = kernel_generators(phi)
-    lmat = mat_from_cols([tuple(c) for c in gens], g_src)
-    rels = ring.span_oracle(gens, g_src, phi.source.relations.cols()).canonical_syzygies() \
-        if gens else []
-    small, _, from_small = minimized(FpModule.canonical(ring, len(gens), rels))
-    incl_matrix = ring_matmul(ring, lmat, from_small.matrix) if lmat.ncols else \
-        ring_zero_mat(ring, g_src, 0)
-    incl = ModuleMorphism(small, phi.source, incl_matrix, check=False)
-    return small, incl
+    rels = ring.span_oracle(gens, phi.source.ngens, phi.source.relations.cols()) \
+        .canonical_syzygies() if gens else []
+    k = FpModule.canonical(ring, len(gens), rels)
+    incl = mat_from_cols([tuple(c) for c in gens], phi.source.ngens)
+    return k, ModuleMorphism(k, phi.source, incl, check=False)
 
 
 def quotient_by(m: FpModule, cols, name=None) -> FpModule:
@@ -372,13 +370,10 @@ def quotient_by(m: FpModule, cols, name=None) -> FpModule:
                               name=name)
 
 
-def cokernel(phi: ModuleMorphism):
-    """``(C, proj, section)``: ``proj : target -> C`` and a representative
-    matrix ``section`` (target generators for each generator of ``C``), so
-    that ``proj.matrix * section`` is the identity."""
-    small, to_small, from_small = minimized(quotient_by(phi.target, phi.matrix.cols()))
-    proj = ModuleMorphism(phi.target, small, to_small.matrix, check=False)
-    return small, proj, from_small.matrix
+def cokernel(phi: ModuleMorphism) -> FpModule:
+    """The target modulo the image, on the target's generators: its
+    projection from the target is the identity on generators."""
+    return quotient_by(phi.target, phi.matrix.cols())
 
 
 def factor_through(gens: Mat, target: FpModule, want: Mat, message: str,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from itertools import combinations_with_replacement
 
-from .fpmod import FpModule
+from .fpmod import FpModule, minimized
 from .towers import VanishingVerdict
 from .poly import mono_divides
 
@@ -21,10 +21,11 @@ SCHEMA_VERSION = 1
 
 def module_summary(m: FpModule) -> dict:
     """Canonical summary: invariant factors over Z, generator/relation
-    counts plus Hilbert samples over polynomial backends."""
+    counts plus Hilbert samples of the minimized presentation otherwise."""
     if m.ring.kind == "integers":
         rank, tors = m.abelian_invariants()
         return {"backend": "Z", "free_rank": rank, "invariant_factors": tors}
+    m = minimized(m)[0]
     return {
         "backend": "poly",
         "generators": m.ngens,

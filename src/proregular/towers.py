@@ -17,8 +17,8 @@ composite with level ``i`` is the zero morphism.
 
 A levelwise map of systems has kernel and cokernel systems.  A kernel
 transition factors the ambient transition through the kernel inclusion; a
-cokernel transition reads the section that ``cokernel`` returns with each
-projection, since the projection is the identity on the section.
+cokernel transition is the target transition's own matrix, since every
+cokernel is presented on its target's generators.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 
 from .fpmod import (FpModule, ModuleMorphism, cokernel, factor_through,
                     identity_morphism, kernel)
-from .rings import ring_matmul
 
 
 class TowerError(ValueError):
@@ -214,17 +213,13 @@ class SystemMap:
         return type(self.source)([i.source for i in incls], trans, check=False)
 
     def cokernel_system(self) -> _System:
-        """Cokernels with the induced transitions: the target transition
-        followed by the projection at its target level, read on the section
-        at its source level."""
+        """Cokernels with the induced transitions: each target transition's
+        matrix, as the cokernels keep their targets' generators."""
         cokers = [cokernel(f) for f in self.maps]
-        trans = []
-        for t, tr in enumerate(self.target.transitions):
-            s, d = self.target._endpoints(t, t + 1)
-            (c_s, _, section), (c_d, proj_d, _) = cokers[s], cokers[d]
-            comp = ring_matmul(c_s.ring, proj_d.compose(tr).matrix, section)
-            trans.append(ModuleMorphism(c_s, c_d, comp, check=False))
-        return type(self.target)([c for c, _, _ in cokers], trans, check=False)
+        ends = [self.target._endpoints(t, t + 1) for t in range(self.depth - 1)]
+        trans = [ModuleMorphism(cokers[s], cokers[d], tr.matrix, check=False)
+                 for (s, d), tr in zip(ends, self.target.transitions)]
+        return type(self.target)(cokers, trans, check=False)
 
 
 def _lift_into_submodule(ambient_map: ModuleMorphism,

@@ -23,12 +23,12 @@ from proregular.complexes import (BoundedComplex, ComplexMorphism, block_identit
                                   tensor_complexes)
 from proregular.fpmod import (FpModule, IdealSpec, ModuleMorphism, _relations_among,
                               direct_sum, identity_morphism, kernel, kernel_generators,
-                              minimized, power_sequence, quotient_module, zero_module)
+                              power_sequence, quotient_module, zero_module)
 from proregular.intlinalg import Mat, mat_from_cols
 from proregular.koszul import KoszulTower, weak_proregularity_check
 from proregular.poly import Poly, PolyRing, mono_div, mono_divides, mono_lcm, mono_mul
 from proregular.resolutions import comparison_map, free_resolution
-from proregular.rings import ring_matmul, ring_zero_mat
+from proregular.rings import ring_matmul
 from proregular.torsion import (MgmReport, _side_report, _stable_annihilator,
                                 ext_torsion_tower, gamma, koszul_torsion_tower)
 from proregular.towers import (IndSystem, ProSystem, SystemMap, TowerEquivalenceVerdict,
@@ -271,20 +271,15 @@ def kernel_by_second_canonical_form(phi: ModuleMorphism):
     gens = kernel_generators(phi)
     lmat = mat_from_cols([tuple(c) for c in gens], phi.source.ngens)
     rels = _relations_among(ring, gens, phi.source) if gens else []
-    small, _, from_small = minimized(FpModule(ring, lmat.ncols, rels))
-    incl_matrix = ring_matmul(ring, lmat, from_small.matrix) if lmat.ncols else \
-        ring_zero_mat(ring, phi.source.ngens, 0)
-    return small, ModuleMorphism(small, phi.source, incl_matrix, check=False)
+    k = FpModule(ring, lmat.ncols, rels)
+    return k, ModuleMorphism(k, phi.source, lmat, check=False)
 
 
-def cokernel_by_concatenation(phi: ModuleMorphism):
-    """``(C, proj, section)`` as ``fpmod.cokernel`` gives them, from the
-    canonical form of ``[phi | target relations]`` with no known part."""
-    ring = phi.source.ring
-    raw = FpModule(ring, phi.target.ngens, phi.matrix.cols() + phi.target.relations.cols())
-    small, to_small, from_small = minimized(raw)
-    return small, ModuleMorphism(phi.target, small, to_small.matrix, check=False), \
-        from_small.matrix
+def cokernel_by_concatenation(phi: ModuleMorphism) -> FpModule:
+    """``fpmod.cokernel(phi)`` from the canonical form of ``[phi | target
+    relations]`` with no known part."""
+    return FpModule(phi.source.ring, phi.target.ngens,
+                    phi.matrix.cols() + phi.target.relations.cols())
 
 
 # ---------------------------------------------------------------------------

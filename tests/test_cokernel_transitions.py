@@ -1,7 +1,7 @@
-"""``cokernel(f)`` gives ``(C, proj, section)`` with ``proj.matrix * section``
-the identity, so a target transition ``T`` induces ``proj_d * T * section_s``
-on the cokernels, with no span oracle; only kernel transitions still use
-``factor_through``.
+"""``cokernel(f)`` is presented on the generators of ``f``'s target, so its
+projection is the identity on generators and a target transition ``T``
+induces ``T``'s own matrix on the cokernels, with no span oracle; only
+kernel transitions still use ``factor_through``.
 """
 
 import sys
@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from proregular import towers
-from proregular.fpmod import FpModule, IdealSpec, cokernel, free_module, multiplication_morphism
+from proregular.fpmod import (FpModule, IdealSpec, ModuleMorphism, cokernel, free_module,
+                              identity_morphism, multiplication_morphism)
 from proregular.koszul import KoszulTower
 from proregular.torsion import ext_torsion_tower
 from proregular.towers import IndSystem, ProSystem, SystemMap, tower_equivalence
@@ -70,14 +71,21 @@ def system_maps(draw, ring):
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_cokernel_transitions_commute_with_projections(name, data):
-    """``trans[t] o proj_s == proj_d o target.transitions[t]`` as morphisms."""
+    """The identity on generators is a (checked) projection ``proj_i`` from
+    each target level onto its cokernel, killing ``f_i``; each induced
+    transition is a checked morphism with ``T``'s matrix, and
+    ``trans[t] o proj_s == proj_d o target.transitions[t]``."""
     fmap = data.draw(system_maps(RINGS[name]))
-    cokers = [cokernel(f) for f in fmap.maps]
     system = fmap.cokernel_system()
-    for c, (coker, _, _) in zip(system.objects, cokers):
-        assert c.relations == coker.relations
+    projs = []
+    for c, f in zip(system.objects, fmap.maps):
+        assert c.relations == cokernel(f).relations
+        projs.append(ModuleMorphism(f.target, c, identity_morphism(f.target).matrix))
+        assert projs[-1].compose(f).is_zero_morphism()
     for t, tr in enumerate(system.transitions):
         s, d = fmap.target._endpoints(t, t + 1)
-        left = tr.compose(cokers[s][1])
-        right = cokers[d][1].compose(fmap.target.transitions[t])
+        assert tr.matrix == fmap.target.transitions[t].matrix
+        ModuleMorphism(tr.source, tr.target, tr.matrix)  # raises unless well defined
+        left = tr.compose(projs[s])
+        right = projs[d].compose(fmap.target.transitions[t])
         assert left.sub(right).is_zero_morphism()

@@ -139,15 +139,15 @@ def test_kernel_cokernel_mult_by_two():
     phi = multiplication_morphism(z, 2)
     k, _ = kernel(phi)
     assert k.is_zero()
-    c, proj, _ = cokernel(phi)
+    c = cokernel(phi)
     assert c.abelian_invariants() == (0, [2])
-    assert proj.matrix.nrows == c.ngens
+    assert c.ngens == phi.target.ngens  # presented on the target's generators
 
 
 def test_kernel_cokernel_identity():
     m = zmod(12)
     k, _ = kernel(identity_morphism(m))
-    c, _, _ = cokernel(identity_morphism(m))
+    c = cokernel(identity_morphism(m))
     assert k.is_zero() and c.is_zero()
 
 
@@ -169,8 +169,9 @@ def test_image_kernel_exactness_random():
             phi = ModuleMorphism(src, tgt, mat, check=True)
         except ModuleError:
             continue
-        c, proj, _ = cokernel(phi)
-        kprj, k_incl = kernel(proj)
+        # the projection onto the cokernel is the identity on generators
+        proj = ModuleMorphism(tgt, cokernel(phi), identity_morphism(tgt).matrix)
+        _, k_incl = kernel(proj)
         # image(phi) == kernel(target -> coker) as submodules of target; the
         # image is spanned by the images of the source generators
         cols_img = [list(phi.matrix.col(j)) for j in range(phi.matrix.ncols)]
@@ -269,7 +270,7 @@ def test_kernel_cokernel_mult_x_on_qx_mod_x2():
     m = FpModule(ring, 1, [[ring.pow(x, 2)]])
     phi = multiplication_morphism(m, x)
     k, _ = kernel(phi)
-    c, _, _ = cokernel(phi)
+    c = cokernel(phi)
     # kernel = (x)/(x^2), a 1-dim Q-space; cokernel = A/(x)
     assert k.ngens == 1 and not k.is_zero()
     assert c.ngens == 1 and not c.is_zero()

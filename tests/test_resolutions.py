@@ -71,14 +71,21 @@ def test_resolution_lengths_random_monomial_quotients():
 
 @pytest.mark.parametrize("varnames,gens", [
     # redundant syzygy leads once made this resolve in length 4
-    (("x", "y", "z"), ["x*y^3*z^2", "x^3*y^2", "x^3*y*z", "x^2*y^2*z"]),
+    (("x", "y", "z"), [["x*y^3*z^2"], ["x^3*y^2"], ["x^3*y*z"], ["x^2*y^2*z"]]),
     # ... and this one in length 5
     (("x", "y", "z", "w"),
-     ["x^3*y*z", "x*y*z*w", "y^3*z*w^2", "x^2*z*w^3", "x^2*y^2"]),
+     [["x^3*y*z"], ["x*y*z*w"], ["y^3*z*w^2"], ["x^2*z*w^3"], ["x^2*y^2"]]),
+    # rank two, ranks [2, 8, 9, 3]: its exactness check once took 26 s,
+    # minimizing every kernel it built
+    (("x", "y", "z", "w"),
+     [["w^2", "2*x^2*y^2*z*w^2 - y^2"], ["0", "2*y^2*z^2"],
+      ["-2*x^2*z*w - 2*x^2*w", "-x*z*w - 2*x*y"]]),
 ])
 def test_resolution_length_within_hilbert_bound(varnames, gens):
+    """``gens`` are the relation columns of the module; the rank is their
+    length."""
     ring = rational_poly_ring(varnames)
-    m = FpModule(ring, 1, [[g] for g in gens])
+    m = FpModule(ring, len(gens[0]), gens)
     res = free_resolution(m)
     assert res.length <= len(varnames)
     for q in range(-res.length, 0):

@@ -188,8 +188,7 @@ def test_completion_tower_z_at_2():
         [(0, [2]), (0, [4]), (0, [8])]
     from proregular.fpmod import cokernel
     for tr in sys_.transitions:
-        c, _, _ = cokernel(tr)
-        assert c.is_zero()  # surjective transitions
+        assert cokernel(tr).is_zero()  # surjective transitions
 
 
 def test_completion_tower_z6_at_2_constant():
