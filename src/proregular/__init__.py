@@ -8,8 +8,7 @@ pro-zero and weak proregularity verdicts, torsion and completion towers,
 and the finite-depth torsion/completion equivalence checks.
 """
 
-from .intlinalg import (Mat, SnfResult, hermite_normal_form, kernel_basis,
-                        smith_normal_form)
+from .intlinalg import Mat, SnfResult, smith_normal_form
 from .fieldlinalg import PrimeField, RationalField
 from .poly import MonomialOrder, Poly, PolyRing
 from .groebner import GroebnerBasis, groebner_basis, normal_form

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intlinalg import Mat, mat_from_cols
+from .intlinalg import Mat, mat_from_cols, smith_normal_form
 from .rings import ring_identity, ring_matmul, ring_zero_mat, structurally_nonzero
 
 
@@ -152,7 +152,6 @@ class FpModule:
 
     def abelian_invariants(self):
         """Over Z: (free_rank, [d1, d2, ...]) with 1 < d1 | d2 | ...."""
-        from .intlinalg import smith_normal_form
         if self.ring.kind != "integers":
             raise ModuleError("abelian invariants only defined over Z")
         snf = smith_normal_form(self.relations)

@@ -4,15 +4,17 @@ Everything here works on arbitrary-precision Python ints, so there is no
 overflow and no modular shortcut: normal forms are computed by classical
 unimodular row/column operations.  The three workhorses are
 
-* ``hermite_normal_form`` -- row echelon form ``U*M = H`` with unimodular
-  ``U``, positive pivots and reduced entries above each pivot,
-* ``smith_normal_form``  -- ``U*M*V = D`` diagonal with the divisibility
-  chain ``d1 | d2 | ...``, nonnegative entries and zeros trailing,
-* ``column_style_hermite`` -- the transposed variant ``M*V = H`` used for
-  solving and kernel computations; ``hnf_solver`` back-substitutes through
-  the pivots of a column HNF, so a stored one answers membership as it is.
+* ``column_hermite`` -- column HNF ``M*V = H`` with unimodular ``V``,
+  positive pivots and reduced entries left of each pivot, computed on a list
+  of columns and returned as the columns of ``H`` and ``V``; the columns of
+  ``V`` under zero columns of ``H`` are a kernel basis (``hermite_kernel``),
+* ``hnf_solver`` -- back-substitution through the pivots of a column HNF,
+  so one form answers every solving and membership question on its span,
+* ``smith_normal_form`` -- ``U*M*V = D`` diagonal with the divisibility
+  chain ``d1 | d2 | ...``, nonnegative entries and zeros trailing.
 
-All matrices are immutable ``Mat`` values; operations return new objects.
+``Mat`` is the immutable dense matrix value of the module layer; the Hermite
+functions take and return plain lists of columns.
 """
 
 from __future__ import annotations
@@ -54,9 +56,6 @@ class Mat:
     def cols(self) -> list:
         return [self.col(j) for j in range(self.ncols)]
 
-    def transpose(self) -> "Mat":
-        return Mat(self.ncols, self.nrows, tuple(self.col(i) for i in range(self.ncols)))
-
     def __iter__(self):
         return iter(self.rows)
 
@@ -80,64 +79,103 @@ def _xgcd(a: int, b: int):
 
 
 # ---------------------------------------------------------------------------
-# Hermite normal form (row style)
+# Hermite normal form (column style, on column lists)
 
 
-def hermite_normal_form(m: Mat):
-    """Return ``(H, U)`` with ``U*M = H``, ``U`` unimodular, ``H`` in row HNF.
+def column_hermite(cols, nrows: int):
+    """Return ``(h_cols, v_cols)``, the columns of ``H`` and of ``V`` with
+    ``M*V = H`` in column HNF, ``V`` unimodular, ``M`` the matrix with the
+    columns ``cols`` (each of length ``nrows``).
 
-    Pivots are positive, entries above a pivot lie in ``[0, pivot)`` and
-    zero rows are trailing.
+    This is the row HNF of the transpose, run on the columns as rows: each
+    nonzero column of ``H`` starts with a positive pivot, pivot rows strictly
+    increase, entries to the left of a pivot lie in ``[0, pivot)`` and zero
+    columns are trailing.
 
-    >>> H, U = hermite_normal_form(Mat.from_rows([[2], [3]]))
-    >>> H.rows
-    ((1,), (0,))
+    >>> column_hermite([[2], [3]], 1)
+    ([[1], [0]], [[-1, 1], [3, -2]])
     """
-    a = [list(r) for r in m.rows]
-    u = [list(r) for r in Mat.identity(m.nrows).rows]
+    a = [list(c) for c in cols]
+    if any(len(c) != nrows for c in a):
+        raise ValueError("column length mismatch")
+    n = len(a)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
     prow = 0
-    for col in range(m.ncols):
-        if prow >= m.nrows:
+    for row in range(nrows):
+        if prow >= n:
             break
-        # gcd-eliminate below prow in this column
+        # gcd-eliminate right of prow in this row
         while True:
-            nz = [r for r in range(prow, m.nrows) if a[r][col] != 0]
+            nz = [c for c in range(prow, n) if a[c][row] != 0]
             if not nz:
                 break
-            r0 = min(nz, key=lambda r: (abs(a[r][col]), r))
-            if r0 != prow:
-                a[prow], a[r0] = a[r0], a[prow]
-                u[prow], u[r0] = u[r0], u[prow]
+            c0 = min(nz, key=lambda c: (abs(a[c][row]), c))
+            if c0 != prow:
+                a[prow], a[c0] = a[c0], a[prow]
+                u[prow], u[c0] = u[c0], u[prow]
             done = True
-            for r in range(prow + 1, m.nrows):
-                if a[r][col] == 0:
+            for c in range(prow + 1, n):
+                if a[c][row] == 0:
                     continue
-                q = a[r][col] // a[prow][col]
-                a[r] = [x - q * y for x, y in zip(a[r], a[prow])]
-                u[r] = [x - q * y for x, y in zip(u[r], u[prow])]
-                if a[r][col] != 0:
+                q = a[c][row] // a[prow][row]
+                a[c] = [x - q * y for x, y in zip(a[c], a[prow])]
+                u[c] = [x - q * y for x, y in zip(u[c], u[prow])]
+                if a[c][row] != 0:
                     done = False
             if done:
                 break
-        if a[prow][col] == 0:
+        if a[prow][row] == 0:
             continue
-        if a[prow][col] < 0:
+        if a[prow][row] < 0:
             a[prow] = [-x for x in a[prow]]
             u[prow] = [-x for x in u[prow]]
-        p = a[prow][col]
-        for r in range(prow):
-            q = a[r][col] // p
+        p = a[prow][row]
+        for c in range(prow):
+            q = a[c][row] // p
             if q:
-                a[r] = [x - q * y for x, y in zip(a[r], a[prow])]
-                u[r] = [x - q * y for x, y in zip(u[r], u[prow])]
+                a[c] = [x - q * y for x, y in zip(a[c], a[prow])]
+                u[c] = [x - q * y for x, y in zip(u[c], u[prow])]
         prow += 1
-    return Mat.from_rows(a) if a else Mat(0, m.ncols, ()), Mat.from_rows(u) if u else Mat(0, 0, ())
+    return a, u
 
 
-def column_style_hermite(m: Mat):
-    """Return ``(H, V)`` with ``M*V = H`` in column HNF (unimodular ``V``)."""
-    ht, ut = hermite_normal_form(m.transpose())
-    return ht.transpose(), ut.transpose()
+def hermite_kernel(h_cols, v_cols) -> list:
+    """Basis of the integer kernel ``{v : M v = 0}`` read from a column HNF
+    ``M*V = H``: the columns of ``V`` under the zero columns of ``H``, each
+    sign-normalized so that its first nonzero entry is positive.  They span
+    the full (saturated) kernel lattice."""
+    out = []
+    for h, v in zip(h_cols, v_cols):
+        if not any(h):
+            lead = next((x for x in v if x != 0), 1)
+            out.append([-x for x in v] if lead < 0 else list(v))
+    return out
+
+
+def hnf_solver(h_cols):
+    """Back-substitution through the pivots of a column HNF with the columns
+    ``h_cols``: returns a function that maps a target column ``b`` to the
+    coordinates ``y`` with ``H y = b``, or to ``None`` when ``b`` is not in
+    the column span."""
+    pivots = []
+    for j, c in enumerate(h_cols):
+        i = next((i for i, x in enumerate(c) if x != 0), None)
+        if i is not None:
+            pivots.append((i, j, c))
+
+    def coordinates(b):
+        target = list(b)
+        y = [0] * len(h_cols)
+        for i, j, c in pivots:
+            q, rem = divmod(target[i], c[i])
+            if rem != 0:
+                return None
+            if q:
+                y[j] = q
+                for r in range(i, len(c)):
+                    target[r] -= q * c[r]
+        return None if any(target) else y
+    return coordinates
 
 
 # ---------------------------------------------------------------------------
@@ -250,77 +288,3 @@ def smith_normal_form(m: Mat) -> SnfResult:
     return SnfResult(Mat.from_rows(u) if n else Mat(0, 0, ()),
                      Mat.from_rows(a) if n else Mat(0, s, ()),
                      Mat.from_rows(v) if s else Mat(0, 0, ()))
-
-
-# ---------------------------------------------------------------------------
-# kernels, solving, membership
-
-
-def kernel_basis(m: Mat) -> Mat:
-    """Basis of the integer kernel ``{v : M v = 0}`` as matrix columns.
-
-    The basis spans the full (saturated) kernel lattice; columns are
-    sign-normalized so that the first nonzero entry is positive.
-    """
-    h, vt = column_style_hermite(m)
-    cols = []
-    for j in range(m.ncols):
-        if all(h.entry(i, j) == 0 for i in range(m.nrows)):
-            c = vt.col(j)
-            lead = next((x for x in c if x != 0), 1)
-            if lead < 0:
-                c = tuple(-x for x in c)
-            cols.append(c)
-    return mat_from_cols(cols, m.ncols)
-
-
-def hnf_solver(h: Mat):
-    """Back-substitution through the pivots of ``H``, a column HNF: returns a
-    function that maps a target column ``b`` to the coordinates ``y`` with
-    ``H y = b``, or to ``None`` when ``b`` is not in the column span."""
-    pivots = []
-    for j in range(h.ncols):
-        i = next((i for i in range(h.nrows) if h.entry(i, j) != 0), None)
-        if i is not None:
-            pivots.append((i, j))
-
-    def coordinates(b):
-        target = list(b)
-        y = [0] * h.ncols
-        for i, j in pivots:
-            q, rem = divmod(target[i], h.entry(i, j))
-            if rem != 0:
-                return None
-            if q:
-                y[j] = q
-                for r in range(h.nrows):
-                    target[r] -= q * h.entry(r, j)
-        return None if any(target) else y
-    return coordinates
-
-
-def solve_columns(m: Mat, b: Mat):
-    """Solve ``M X = B`` over the integers; return ``X`` or ``None``.
-
-    ``B`` holds the targets as columns.
-    """
-    if b.nrows != m.nrows:
-        raise ValueError("shape mismatch in solve")
-    h, v = column_style_hermite(m)
-    coordinates = hnf_solver(h)
-    xcols = []
-    for jb in range(b.ncols):
-        y = coordinates(b.col(jb))
-        if y is None:
-            return None
-        xcols.append(tuple(sum(v.entry(r, j) * y[j] for j in range(h.ncols))
-                           for r in range(m.ncols)))
-    return mat_from_cols(xcols, m.ncols)
-
-
-def canonical_column_form(m: Mat) -> Mat:
-    """Canonical generating set for the column lattice (column HNF, no zeros)."""
-    h, _ = column_style_hermite(m)
-    cols = [h.col(j) for j in range(h.ncols) if any(h.col(j))]
-    return mat_from_cols(cols, m.nrows)
-

@@ -10,8 +10,8 @@ module computation reduces to:
   canonical set: back-substitution through the HNF's pivots over Z, a zero
   remainder against the reduced basis over polynomials; no S-pair is formed,
 * ``span_oracle(cols, nrows, relations)`` -- exact solving, syzygies and
-  their canonical form for the span of any columns (Hermite form over Z,
-  Groebner graph bases over polynomials),
+  their canonical form for the span of any columns (one HNF per oracle over
+  Z, computed on the first question; Groebner graph bases over polynomials),
 * ``kernel_of_columns`` -- generators of ``{v : sum v_j col_j = 0}``.
 
 ``relations`` are a module's stored canonical relations: over polynomials
@@ -45,12 +45,13 @@ entry is put through a quotient ring's normal form.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .fieldlinalg import PrimeField, RationalField
 from .groebner import (GraphBasis, TopOrder, _Reducer, groebner_basis, normal_form,
                        reduced_module_groebner, columns_to_vectors, vec_lead,
                        vectors_to_columns)
-from .intlinalg import (Mat, canonical_column_form, hnf_solver, kernel_basis,
-                        mat_from_cols, solve_columns)
+from .intlinalg import Mat, column_hermite, hermite_kernel, hnf_solver
 from .poly import PolyRing
 
 
@@ -59,28 +60,39 @@ class RingError(ValueError):
 
 
 def _hnf_columns(cols, nrows):
+    """The nonzero columns of the column HNF of ``cols``."""
     if not cols:
         return []
-    h = canonical_column_form(mat_from_cols([tuple(c) for c in cols], nrows))
-    return [list(h.col(j)) for j in range(h.ncols)]
+    return [c for c in column_hermite(cols, nrows)[0] if any(c)]
 
 
 class _ZSpanOracle:
-    """Column-span services over Z, backed by one column HNF."""
+    """Column-span services over Z: one HNF per oracle.  The column HNF of
+    the columns and the relations is computed on the first question and kept;
+    ``solve``, ``syzygy_columns`` and ``canonical_syzygies`` all read it."""
 
     def __init__(self, cols, nrows, relations=()):
         self.nrows = nrows
         self.ncols = len(cols)
-        self.m = mat_from_cols([tuple(c) for c in cols] + [tuple(c) for c in relations],
-                               nrows)
+        self.cols = list(cols) + list(relations)
+
+    @cached_property
+    def _form(self):
+        h, v = column_hermite(self.cols, self.nrows)
+        return h, v, hnf_solver(h)
 
     def solve(self, target):
-        x = solve_columns(self.m, mat_from_cols([tuple(target)], self.nrows))
-        return None if x is None else list(x.col(0))[:self.ncols]
+        if len(target) != self.nrows:
+            raise ValueError("column length mismatch")
+        _, v, coordinates = self._form
+        y = coordinates(target)
+        if y is None:
+            return None
+        return [sum(c[r] * q for c, q in zip(v, y) if q) for r in range(self.ncols)]
 
     def syzygy_columns(self):
-        k = kernel_basis(self.m)
-        return [list(k.col(j))[:self.ncols] for j in range(k.ncols)]
+        h, v, _ = self._form
+        return [k[:self.ncols] for k in hermite_kernel(h, v)]
 
     def canonical_syzygies(self):
         return _hnf_columns(self.syzygy_columns(), self.ncols)
@@ -159,7 +171,7 @@ class IntegerRing:
     def canonical_member(self, cols, nrows):
         """Membership in the span of ``cols``, a column HNF as
         ``canonical_columns`` returns it."""
-        coordinates = hnf_solver(mat_from_cols([tuple(c) for c in cols], nrows))
+        coordinates = hnf_solver(cols)
         return lambda col: coordinates(col) is not None
 
     def column_vanishes(self, col) -> bool:

@@ -2,8 +2,9 @@
 
 They are textbook versions of engine steps (polynomial division, module
 reduction by a scan over all leads, Gaussian elimination, Bareiss
-determinants, minimization by composing morphisms, kernel relations and
-cokernels through a second canonical form), constructions that no
+determinants, Hermite forms, kernels and solving on ``Mat`` values,
+minimization by composing morphisms, kernel relations and cokernels
+through a second canonical form), constructions that no
 command runs (Hom, Ext of two modules, Euler characteristics, mapping
 cones), the MGM check read on the cones themselves, copointed idempotence
 on both counit sides, and paper checks that tie two models together.
@@ -135,6 +136,141 @@ def rref(field, m: Mat):
 
 def rank(field, m: Mat) -> int:
     return len(rref(field, m)[1])
+
+
+# ---------------------------------------------------------------------------
+# Hermite form oracles over Z: the ``Mat`` path (row HNF of the transpose,
+# transposed back), which the engine's column-list ``column_hermite`` replaced
+
+
+def transpose(m: Mat) -> Mat:
+    return Mat(m.ncols, m.nrows, tuple(m.col(i) for i in range(m.ncols)))
+
+
+def hermite_normal_form(m: Mat):
+    """Return ``(H, U)`` with ``U*M = H``, ``U`` unimodular, ``H`` in row HNF.
+
+    Pivots are positive, entries above a pivot lie in ``[0, pivot)`` and
+    zero rows are trailing.
+
+    >>> H, U = hermite_normal_form(Mat.from_rows([[2], [3]]))
+    >>> H.rows
+    ((1,), (0,))
+    """
+    a = [list(r) for r in m.rows]
+    u = [list(r) for r in Mat.identity(m.nrows).rows]
+    prow = 0
+    for col in range(m.ncols):
+        if prow >= m.nrows:
+            break
+        # gcd-eliminate below prow in this column
+        while True:
+            nz = [r for r in range(prow, m.nrows) if a[r][col] != 0]
+            if not nz:
+                break
+            r0 = min(nz, key=lambda r: (abs(a[r][col]), r))
+            if r0 != prow:
+                a[prow], a[r0] = a[r0], a[prow]
+                u[prow], u[r0] = u[r0], u[prow]
+            done = True
+            for r in range(prow + 1, m.nrows):
+                if a[r][col] == 0:
+                    continue
+                q = a[r][col] // a[prow][col]
+                a[r] = [x - q * y for x, y in zip(a[r], a[prow])]
+                u[r] = [x - q * y for x, y in zip(u[r], u[prow])]
+                if a[r][col] != 0:
+                    done = False
+            if done:
+                break
+        if a[prow][col] == 0:
+            continue
+        if a[prow][col] < 0:
+            a[prow] = [-x for x in a[prow]]
+            u[prow] = [-x for x in u[prow]]
+        p = a[prow][col]
+        for r in range(prow):
+            q = a[r][col] // p
+            if q:
+                a[r] = [x - q * y for x, y in zip(a[r], a[prow])]
+                u[r] = [x - q * y for x, y in zip(u[r], u[prow])]
+        prow += 1
+    return Mat.from_rows(a) if a else Mat(0, m.ncols, ()), Mat.from_rows(u) if u else Mat(0, 0, ())
+
+
+def column_style_hermite(m: Mat):
+    """Return ``(H, V)`` with ``M*V = H`` in column HNF (unimodular ``V``)."""
+    ht, ut = hermite_normal_form(transpose(m))
+    return transpose(ht), transpose(ut)
+
+
+def kernel_basis(m: Mat) -> Mat:
+    """Basis of the integer kernel ``{v : M v = 0}`` as matrix columns.
+
+    The basis spans the full (saturated) kernel lattice; columns are
+    sign-normalized so that the first nonzero entry is positive.
+    """
+    h, vt = column_style_hermite(m)
+    cols = []
+    for j in range(m.ncols):
+        if all(h.entry(i, j) == 0 for i in range(m.nrows)):
+            c = vt.col(j)
+            lead = next((x for x in c if x != 0), 1)
+            if lead < 0:
+                c = tuple(-x for x in c)
+            cols.append(c)
+    return mat_from_cols(cols, m.ncols)
+
+
+def mat_hnf_solver(h: Mat):
+    """Back-substitution through the pivots of ``H``, a column HNF: returns a
+    function that maps a target column ``b`` to the coordinates ``y`` with
+    ``H y = b``, or to ``None`` when ``b`` is not in the column span."""
+    pivots = []
+    for j in range(h.ncols):
+        i = next((i for i in range(h.nrows) if h.entry(i, j) != 0), None)
+        if i is not None:
+            pivots.append((i, j))
+
+    def coordinates(b):
+        target = list(b)
+        y = [0] * h.ncols
+        for i, j in pivots:
+            q, rem = divmod(target[i], h.entry(i, j))
+            if rem != 0:
+                return None
+            if q:
+                y[j] = q
+                for r in range(h.nrows):
+                    target[r] -= q * h.entry(r, j)
+        return None if any(target) else y
+    return coordinates
+
+
+def solve_columns(m: Mat, b: Mat):
+    """Solve ``M X = B`` over the integers; return ``X`` or ``None``.
+
+    ``B`` holds the targets as columns.
+    """
+    if b.nrows != m.nrows:
+        raise ValueError("shape mismatch in solve")
+    h, v = column_style_hermite(m)
+    coordinates = mat_hnf_solver(h)
+    xcols = []
+    for jb in range(b.ncols):
+        y = coordinates(b.col(jb))
+        if y is None:
+            return None
+        xcols.append(tuple(sum(v.entry(r, j) * y[j] for j in range(h.ncols))
+                           for r in range(m.ncols)))
+    return mat_from_cols(xcols, m.ncols)
+
+
+def canonical_column_form(m: Mat) -> Mat:
+    """Canonical generating set for the column lattice (column HNF, no zeros)."""
+    h, _ = column_style_hermite(m)
+    cols = [h.col(j) for j in range(h.ncols) if any(h.col(j))]
+    return mat_from_cols(cols, m.nrows)
 
 
 # ---------------------------------------------------------------------------

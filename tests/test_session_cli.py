@@ -271,6 +271,15 @@ PINNED_RUNS = [
     # ... and established at depth 6, where the check passes
     ("mgm_s17_R_d6", ["mgm-check", sess("s17_witness_a4_module.session"),
                       "--module", "R", "--depth", "6"]),
+    # over Z, through Hermite forms with several columns
+    ("idempotence_s02_d4", ["idempotence", sess("s02_z_46.session"), "--depth", "4"]),
+    ("koszul_s02_d3", ["koszul", sess("s02_z_46.session"), "--depth", "3"]),
+    ("lc_ext_s01_M12_p0", ["lc-tower", sess("s01_z_p2.session"), "--module", "M12",
+                           "--depth", "4", "--model", "ext", "--degree", "0"]),
+    ("lc_koszul_s01_M12_p1", ["lc-tower", sess("s01_z_p2.session"), "--module", "M12",
+                              "--depth", "4", "--model", "koszul", "--degree", "1"]),
+    ("mgm_s01_M12", ["mgm-check", sess("s01_z_p2.session"), "--module", "M12",
+                     "--depth", "4"]),
 ]
 
 
